@@ -22,13 +22,13 @@ See the README for the CLI and the verification suites.
 
 from .errors import (KlboundsError, ParseError, InvalidCartanError,
                      EnumerationCapError, NonParabolicError,
-                     HypothesisError, CacheError)
+                     HypothesisError)
 from .polynomials import IntPolynomial
 from .cartan import (CartanDatum, standard_cartan_matrix, parse_type,
                      weyl_group_order)
 from .coxeter import (CoxeterSystem, GroupElement, build_system,
                       get_system, parse_element, format_element)
-from .kl import (KLCache, kl_polynomial, mu, r_polynomial, kl_table,
+from .kl import (kl_polynomial, mu, r_polynomial, kl_table,
                  verify_inversion_identity)
 from .parabolic import (ParabolicSubgroup, parabolic_from_reflections,
                         standard_parabolic, position_subgroup,
@@ -43,7 +43,7 @@ from .patterns import (flatten, pattern_witness, contains_pattern,
                        is_rationally_smooth_typeA,
                        is_321_hexagon_avoiding, conjecture_p2_patterns)
 from .bounds import (BoundReport, CoefficientwiseReport,
-                     MonotonicityReport, BrentiSimionResult,
+                     MonotonicityReport, EqualityResult,
                      maximal_set, main_bound, conjugate_is_standard,
                      coefficientwise_bound, parabolic_equality,
                      monotonicity_bound, brenti_simion)
@@ -54,13 +54,12 @@ __version__ = "0.1.0"
 __all__ = [
     "KlboundsError", "ParseError", "InvalidCartanError",
     "EnumerationCapError", "NonParabolicError", "HypothesisError",
-    "CacheError",
     "IntPolynomial",
     "CartanDatum", "standard_cartan_matrix", "parse_type",
     "weyl_group_order",
     "CoxeterSystem", "GroupElement", "build_system", "get_system",
     "parse_element", "format_element",
-    "KLCache", "kl_polynomial", "mu", "r_polynomial", "kl_table",
+    "kl_polynomial", "mu", "r_polynomial", "kl_table",
     "verify_inversion_identity",
     "ParabolicSubgroup", "parabolic_from_reflections",
     "standard_parabolic", "position_subgroup", "unsigned_subgroup",
@@ -72,7 +71,7 @@ __all__ = [
     "PatternQuery", "is_rationally_smooth_typeA",
     "is_321_hexagon_avoiding", "conjecture_p2_patterns",
     "BoundReport", "CoefficientwiseReport", "MonotonicityReport",
-    "BrentiSimionResult", "maximal_set", "main_bound",
+    "EqualityResult", "maximal_set", "main_bound",
     "conjugate_is_standard", "coefficientwise_bound",
     "parabolic_equality", "monotonicity_bound", "brenti_simion",
     "SUITE_NAMES", "Verdict", "SuiteResult", "run_suite",

@@ -75,7 +75,9 @@ class MonotonicityReport:
         return iter((self.lhs, self.rhs, self.holds))
 
 
-class BrentiSimionResult(NamedTuple):
+class EqualityResult(NamedTuple):
+    """Both sides of a polynomial identity and whether they agree."""
+
     lhs: IntPolynomial
     rhs: IntPolynomial
     holds: bool
@@ -239,7 +241,7 @@ def maximal_set(sub, x, w):
     return tuple(y for y, _ in _maxima_with_images(sub, x, w))
 
 
-def main_bound(sub, x, w, cache=None):
+def main_bound(sub, x, w):
     """Evaluate the coset lower bound for P_{x,w}(1).
 
     Always returns a report; for x not below w every pattern-map factor
@@ -249,11 +251,11 @@ def main_bound(sub, x, w, cache=None):
     amb = sub.ambient
     phix = phi_root(sub, x)
     maxima = _maxima_with_images(sub, x, w)
-    lhs = kl_polynomial(amb, x, w, cache)(1)
+    lhs = kl_polynomial(amb, x, w)(1)
     per_term = []
     rhs = 0
     for y, fy in maxima:
-        pyw = kl_polynomial(amb, y, w, cache)(1)
+        pyw = kl_polynomial(amb, y, w)(1)
         pprime = kl_polynomial(sub, phix, fy)(1)
         per_term.append((y, pyw, pprime))
         rhs += pyw * pprime
@@ -290,7 +292,7 @@ def _require_standardness(sub, x, what):
             "element, to be standard")
 
 
-def coefficientwise_bound(sub, x, w, cache=None):
+def coefficientwise_bound(sub, x, w):
     """Degreewise form of the bound under the standardness hypothesis.
 
     Requires W' or x^{-1}W'x standard; the maximal set is then a single
@@ -306,8 +308,8 @@ def coefficientwise_bound(sub, x, w, cache=None):
                                      degrees=(), holds=True, empty=True)
     assert len(maxima) == 1, "standard hypothesis should force |M| = 1"
     y, fy = maxima[0]
-    lhs_poly = kl_polynomial(amb, x, w, cache)
-    prod = kl_polynomial(amb, y, w, cache) * kl_polynomial(
+    lhs_poly = kl_polynomial(amb, x, w)
+    prod = kl_polynomial(amb, y, w) * kl_polynomial(
         sub, phi_root(sub, x), fy)
     top = max(lhs_poly.degree, prod.degree)
     rows = []
@@ -321,21 +323,25 @@ def coefficientwise_bound(sub, x, w, cache=None):
                                  degrees=tuple(rows), holds=ok, empty=False)
 
 
-def parabolic_equality(sub, x, w, cache=None):
+def parabolic_equality(sub, x, w):
     """P_{x,w} equals P'_{phi(x),phi(w)} when w lies in the coset W'x.
 
-    Requires the standardness hypothesis and w in W'x.
+    Requires the standardness hypothesis and w in W'x.  Returns both
+    sides and whether they agree.
     """
     _require_standardness(sub, x, "the coset equality")
     amb = sub.ambient
-    if not sub.contains(amb.multiply(w, amb.inverse(x))):
+    u = amb.multiply(w, amb.inverse(x))
+    if not sub.contains(u):
         raise HypothesisError("the coset equality needs w in W'x")
-    lhs = kl_polynomial(amb, x, w, cache)
-    rhs = kl_polynomial(sub, phi_root(sub, x), phi_root(sub, w))
-    return lhs == rhs
+    phix = phi_root(sub, x)
+    lhs = kl_polynomial(amb, x, w)
+    # phi(w) = phi(u x) = u phi(x) by equivariance, as in _coset_below
+    rhs = kl_polynomial(sub, phix, amb.multiply(u, phix))
+    return EqualityResult(lhs=lhs, rhs=rhs, holds=lhs == rhs)
 
 
-def monotonicity_bound(sub, w, cache=None):
+def monotonicity_bound(sub, w):
     """P_{1,w}(1) >= P'_{1,phi(w)}(1), with the intermediate step recorded.
 
     The middle term is P_{x0,w}(1) for the minimal element x0 of the
@@ -344,15 +350,15 @@ def monotonicity_bound(sub, w, cache=None):
     amb = sub.ambient
     x0 = coset_minimum(sub, w)
     phiw = phi_root(sub, w)
-    lhs = kl_polynomial(amb, amb.identity, w, cache)(1)
-    mid = kl_polynomial(amb, x0, w, cache)(1)
+    lhs = kl_polynomial(amb, amb.identity, w)(1)
+    mid = kl_polynomial(amb, x0, w)(1)
     rhs = kl_polynomial(sub, sub.identity, phiw)(1)
     return MonotonicityReport(
         w=w, subgroup=describe_subgroup(sub), lhs=lhs, mid=mid, rhs=rhs,
         holds=lhs >= mid >= rhs, coset_min=x0, phi_w=phiw)
 
 
-def brenti_simion(u, v, i, cache=None):
+def brenti_simion(u, v, i):
     """Product factorization P_{u,v} = P_low * P_high at a value split.
 
     u and v are permutations (sequences or digit strings).  The split
@@ -378,7 +384,7 @@ def brenti_simion(u, v, i, cache=None):
         lhs = ONE
     else:
         lhs = kl_polynomial(system, system.parse_oneline(u),
-                            system.parse_oneline(v), cache)
+                            system.parse_oneline(v))
 
     def factor(su, sv):
         k = len(su)
@@ -386,11 +392,11 @@ def brenti_simion(u, v, i, cache=None):
             return ONE
         sys_k = get_system("A", k - 1)
         return kl_polynomial(sys_k, sys_k.parse_oneline(su),
-                             sys_k.parse_oneline(sv), cache)
+                             sys_k.parse_oneline(sv))
 
     low = factor(tuple(val for val in u if val <= i),
                  tuple(val for val in v if val <= i))
     high = factor(flatten(val for val in u if val > i),
                   flatten(val for val in v if val > i))
     rhs = low * high
-    return BrentiSimionResult(lhs=lhs, rhs=rhs, holds=lhs == rhs)
+    return EqualityResult(lhs=lhs, rhs=rhs, holds=lhs == rhs)

@@ -169,6 +169,9 @@ class CartanDatum:
         return self.family in CLASSICAL_FAMILIES
 
     def type_name(self):
+        """'A3', 'B4'; the exceptional families already name their rank."""
+        if self.family in EXCEPTIONAL_RANKS:
+            return self.family
         return f"{self.family}{self.rank}"
 
 

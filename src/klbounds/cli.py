@@ -1,11 +1,10 @@
 """Command line front end.
 
-Four subcommands:
+Three subcommands:
 
     klbounds kl --type A3 --x 2143 --w 4231
     klbounds phi --type B4 --w -4,2,1,-3 --parabolic unsigned
     klbounds verify main-theorem --type A3 --all
-    klbounds cache info --cache kl.cache
 
 Elements are one-line windows for the classical families (``2143``,
 ``-4,2,1,-3``) with reduced words (``s1 s2 s1`` or ``s1.s2.s1``) as the
@@ -18,13 +17,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 Large groups are gated: computations that enumerate elements or Bruhat
 intervals refuse to start when the group order exceeds 1000 unless
 --slow is passed.  The pattern map itself never enumerates the ambient
-group, so ``phi`` runs ungated.
-
-With --cache PATH, computed Kazhdan-Lusztig polynomials persist across
-invocations in a validated append-only file.  A relative PATH is placed
-under $KLBOUNDS_CACHE_DIR when that variable is set.  Verification suites
-revalidate every cache line before trusting it (see KLCache), and worker
-processes under --jobs treat the file as read-only.
+group, so ``phi`` runs ungated.  --cap N refuses any enumeration beyond N
+elements; ``verify`` enumerates the whole group, so it refuses at once
+when the group order exceeds N.
 
 Formats: text (default), json (one canonical object per line, every
 record carrying a versioned ``schema`` field), csv.  Record streams are
@@ -36,23 +31,19 @@ per (y, term) pair.
 
 import argparse
 import csv
-import json
 import os
 import sys
 
 from .cartan import weyl_group_order
 from .coxeter import build_system, get_system
 from .cartan import CartanDatum, parse_type
-from .errors import (CacheError, EnumerationCapError, HypothesisError,
-                     KlboundsError, NonParabolicError, ParseError)
-from .kl import KLCache, kl_polynomial
+from .errors import EnumerationCapError, KlboundsError, ParseError
+from .kl import kl_polynomial
 from .parabolic import (coset_minimum, describe_subgroup, flatten_element,
                         parse_subgroup_spec, phi_coset, phi_root,
                         _root_descriptor)
-from .verify import (SLOW_ORDER_LIMIT, SUITE_NAMES, canonical_json,
-                     run_suite)
-
-SUMMARY_SCHEMA = "klbounds.summary/1"
+from .verify import (SLOW_ORDER_LIMIT, SUITE_NAMES, SUMMARY_SCHEMA,
+                     canonical_json, run_suite)
 
 
 def _add_common(sub, element_args=()):
@@ -66,8 +57,6 @@ def _add_common(sub, element_args=()):
                          help=f"element {name} (one-line or reduced word)")
     sub.add_argument("--format", choices=("text", "json", "csv"),
                      default="text", dest="fmt", help="output format")
-    sub.add_argument("--cache", default=None, metavar="PATH",
-                     help="persistent KL polynomial cache file")
     sub.add_argument("--slow", action="store_true",
                      help="allow groups with more than "
                           f"{SLOW_ORDER_LIMIT} elements")
@@ -108,26 +97,10 @@ def _build_parser():
                              "deterministically)")
     verify.set_defaults(func=cmd_verify)
 
-    cache = commands.add_parser("cache", help="inspect or drop a cache file")
-    cache.add_argument("action", choices=("info", "clear"))
-    cache.add_argument("--cache", required=True, metavar="PATH")
-    cache.add_argument("--format", choices=("text", "json"),
-                       default="text", dest="fmt")
-    cache.set_defaults(func=cmd_cache)
-
     return parser
 
 
 # -- shared plumbing
-
-def _cache_path(arg):
-    if arg is None:
-        return None
-    base = os.environ.get("KLBOUNDS_CACHE_DIR")
-    if base and not os.path.isabs(arg):
-        return os.path.join(base, arg)
-    return arg
-
 
 def _system_for(args):
     if args.cap is not None:
@@ -158,11 +131,7 @@ def cmd_kl(args):
     _gate_slow(system, args.slow)
     x = system.parse_element(args.x)
     w = system.parse_element(args.w)
-    cache = None
-    path = _cache_path(args.cache)
-    if path is not None:
-        cache = KLCache(path).load(system)
-    poly = kl_polynomial(system, x, w, cache)
+    poly = kl_polynomial(system, x, w)
     if args.fmt == "json":
         print(canonical_json({
             "schema": "klbounds.kl/1",
@@ -262,7 +231,7 @@ def cmd_verify(args):
         raise ParseError("--all and --parabolic exclude each other")
     result = run_suite(args.suite, args.type, args.rank,
                        parabolic=args.parabolic, slow=args.slow,
-                       jobs=args.jobs, cache_path=_cache_path(args.cache))
+                       jobs=args.jobs, cap=args.cap)
     if args.fmt == "json":
         for record in result.records:
             print(canonical_json(record.json_dict()))
@@ -293,33 +262,6 @@ def cmd_verify(args):
     return 0 if result.failed == 0 else 1
 
 
-def cmd_cache(args):
-    path = _cache_path(args.cache)
-    if args.action == "clear":
-        try:
-            os.remove(path)
-            print(f"removed {path}")
-        except FileNotFoundError:
-            print(f"no cache at {path}")
-        return 0
-    cache = KLCache(path)
-    cache._read_file()
-    groups = {f"{fam}{rank}": len(rows)
-              for (fam, rank), rows in sorted(cache._pending.items())}
-    if args.fmt == "json":
-        print(canonical_json({
-            "schema": "klbounds.cache/1",
-            "path": path,
-            "lines": len(cache.dump_lines()),
-            "groups": groups,
-        }))
-    else:
-        print(f"cache {path}: {len(cache.dump_lines())} lines")
-        for name, count in groups.items():
-            print(f"  {name}: {count} entries")
-    return 0
-
-
 def _protect_negatives(argv):
     """Glue element flags to their values so signed windows like
     ``--w -4,2,1,-3`` survive argparse option detection."""
@@ -347,8 +289,7 @@ def main(argv=None):
     except EnumerationCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, HypothesisError, NonParabolicError, CacheError,
-            KlboundsError) as exc:
+    except KlboundsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

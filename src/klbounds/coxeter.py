@@ -28,7 +28,6 @@ unsigned permutations, matching the classical combinatorics.
 
 from bisect import insort
 from functools import lru_cache
-from typing import NamedTuple
 
 from .cartan import CartanDatum, parse_type, positive_root_count
 from .errors import EnumerationCapError, InvalidCartanError, ParseError
@@ -69,21 +68,6 @@ def _prefix_dominated(xv, wv):
             if a > b:
                 return False
     return True
-
-
-class Root(NamedTuple):
-    coords: tuple
-
-    @property
-    def is_positive(self):
-        return any(self.coords) and not _vec_is_negative(self.coords)
-
-    @property
-    def is_negative(self):
-        return _vec_is_negative(self.coords)
-
-    def __neg__(self):
-        return Root(tuple(-c for c in self.coords))
 
 
 class GroupElement:
@@ -558,7 +542,6 @@ class CoxeterSystem(CoxeterContext):
                 f"root generation produced {len(pos)} positive roots, "
                 f"expected {want}")
         self.positive_root_vecs = tuple(pos)
-        self.positive_roots = tuple(Root(v) for v in pos)
         self._pos_index = {v: k for k, v in enumerate(pos)}
 
     def _build_reflections(self):
@@ -602,15 +585,6 @@ class CoxeterSystem(CoxeterContext):
 
     def reflection_for_root(self, coords):
         return self.reflection_data_for(coords).element
-
-    def is_reflection(self, w):
-        return w in self.reflection_root_index
-
-    def root_of_reflection(self, w):
-        idx = self.reflection_root_index.get(w)
-        if idx is None:
-            raise ParseError("element is not a reflection")
-        return self.positive_roots[idx]
 
     # -- classical coordinate tables and one-line notation
 
@@ -927,26 +901,6 @@ def get_system(type_text, rank=None):
     """Shared, cached system for a type string like 'A3' or ('B', 3)."""
     datum = parse_type(type_text, rank)
     return _cached_system(datum.family, datum.rank)
-
-
-def multiply(system, u, v):
-    return system.multiply(u, v)
-
-
-def inverse(system, w):
-    return system.inverse(w)
-
-
-def length(system, w):
-    return system.length(w)
-
-
-def bruhat_leq(system, x, w):
-    return system.bruhat_leq(x, w)
-
-
-def lower_interval(system, w):
-    return system.lower_interval(w)
 
 
 def parse_element(system, text):

@@ -35,7 +35,3 @@ class NonParabolicError(KlboundsError, ValueError):
 
 class HypothesisError(KlboundsError, ValueError):
     """A theorem's hypothesis is violated by the given arguments."""
-
-
-class CacheError(KlboundsError, ValueError):
-    """Persistent cache file is malformed or fails validation."""

@@ -20,7 +20,6 @@ R-polynomials and the inversion identity
 are implemented as an independent cross-check of the recursion.
 """
 
-from .errors import CacheError
 from .polynomials import IntPolynomial, ONE, ZERO
 
 _Q_MINUS_ONE = IntPolynomial((-1, 1))
@@ -148,11 +147,11 @@ class KLEngine:
         memo[key] = res
         return res
 
-    def inversion_identity_holds(self, x, w):
-        """Check q^{l(w)-l(x)} P_{x,w}(1/q) == sum R_{x,z} P_{z,w}."""
+    def inversion_identity(self, x, w):
+        """Both sides (q^{l(w)-l(x)} P_{x,w}(1/q), sum R_{x,z} P_{z,w})."""
         ctx = self.ctx
         if not ctx.bruhat_leq(x, w):
-            return True  # both sides are zero
+            return ZERO, ZERO
         col = self.column(w)
         rhs = ZERO
         for z in col:
@@ -160,7 +159,7 @@ class KLEngine:
                 rhs = rhs + self.r_polynomial(x, z) * col[z]
         n = ctx.length(w) - ctx.length(x)
         lhs = self.polynomial(x, w).reversed_to(n)
-        return lhs == rhs
+        return lhs, rhs
 
 
 def get_engine(ctx, descent_rule="lowest"):
@@ -174,153 +173,9 @@ def get_engine(ctx, descent_rule="lowest"):
     return eng
 
 
-class KLCache:
-    """Append-only persistent store of computed P_{x,w} coefficients.
-
-    Line format, with elements in whitespace-free token form:
-
-        A 3 2,1,4,3 4,2,3,1 : 1,1
-
-    One file may serve several groups at once (the product factorizations
-    drop into smaller symmetric groups, for instance); lines are bucketed
-    by their (family, rank) tag when the file is read and parsed the first
-    time the matching system asks for an entry.  Parsed lines are
-    validated before use: constant term 1, nonnegative coefficients, and
-    degree within the KL bound.  Nothing is ever trusted blindly.
-    """
-
-    def __init__(self, path=None):
-        self.path = path
-        self.entries = {}
-        self.hits = 0
-        self.misses = 0
-        self._lines = []    # file content in order, stored verbatim
-        self._pending = {}  # (family, rank) -> [(lineno, x, w, coeffs)]
-        self._read = False
-
-    def _read_file(self):
-        if self._read:
-            return
-        self._read = True
-        if self.path is None:
-            return
-        try:
-            with open(self.path, "r", encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-        except FileNotFoundError:
-            return
-        for lineno, line in enumerate(lines, 1):
-            self._lines.append(line)
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split()
-            if len(parts) != 6 or parts[4] != ":":
-                raise CacheError(f"{self.path}:{lineno}: malformed line")
-            lfam, lrank, xtext, wtext, _, coeffs = parts
-            try:
-                lrank = int(lrank)
-            except ValueError:
-                raise CacheError(
-                    f"{self.path}:{lineno}: bad rank {parts[1]!r}") from None
-            self._pending.setdefault((lfam, lrank), []).append(
-                (lineno, xtext, wtext, coeffs))
-
-    def load(self, system):
-        """Read the file and validate the lines matching the given system."""
-        self._read_file()
-        fam = system.datum.family
-        rank = system.datum.rank
-        for lineno, xtext, wtext, coeffs in self._pending.pop(
-                (fam, rank), ()):
-            try:
-                x = system.parse_element(xtext)
-                w = system.parse_element(wtext)
-                poly = IntPolynomial.from_coeff_string(coeffs)
-            except ValueError as exc:
-                raise CacheError(f"{self.path}:{lineno}: {exc}") from None
-            self._validate(system, x, w, poly, lineno)
-            self.entries[(fam, rank, x, w)] = poly
-        return self
-
-    def _validate(self, system, x, w, poly, lineno=None):
-        where = f"{self.path}:{lineno}: " if lineno is not None else ""
-        if x == w:
-            if poly != ONE:
-                raise CacheError(f"{where}P_(x,x) must be 1")
-            return
-        ldiff = system.length(w) - system.length(x)
-        if poly:
-            if poly[0] != 1:
-                raise CacheError(f"{where}constant term must be 1")
-            if any(c < 0 for c in poly.coeffs):
-                raise CacheError(f"{where}negative coefficient")
-            if ldiff <= 0 or 2 * poly.degree > ldiff - 1:
-                raise CacheError(f"{where}degree violates the KL bound")
-
-    def get(self, system, x, w):
-        self._read_file()
-        fam, rank = system.datum.family, system.datum.rank
-        if (fam, rank) in self._pending:
-            self.load(system)
-        hit = self.entries.get((fam, rank, x, w))
-        if hit is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return hit
-
-    def put(self, system, x, w, poly):
-        """Record a computed pair and append it to the file."""
-        self._read_file()
-        fam, rank = system.datum.family, system.datum.rank
-        if (fam, rank) in self._pending:
-            self.load(system)
-        key = (fam, rank, x, w)
-        if key in self.entries:
-            return
-        self._validate(system, x, w, poly)
-        self.entries[key] = poly
-        line = self._render(system, x, w, poly)
-        self._lines.append(line)
-        if self.path is not None:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
-
-    def _render(self, system, x, w, poly):
-        return (f"{system.datum.family} {system.datum.rank} "
-                f"{system.format_element(x, 'token')} "
-                f"{system.format_element(w, 'token')} : "
-                f"{poly.coeff_string()}")
-
-    def dump_lines(self):
-        """All lines in load/insert order; matches the file byte for byte."""
-        self._read_file()
-        return list(self._lines)
-
-    def save(self, path=None):
-        self._read_file()
-        path = path or self.path
-        with open(path, "w", encoding="utf-8") as fh:
-            for line in self._lines:
-                fh.write(line + "\n")
-
-
-def kl_polynomial(ctx, x, w, cache=None, descent_rule="lowest"):
-    """P_{x,w} in the given context, consulting a KLCache when provided.
-
-    The persistent cache stores ambient-system pairs only; for parabolic
-    contexts (whose polynomials differ from the ambient ones) it is ignored.
-    """
-    use_cache = cache is not None and ctx is ctx.system
-    if use_cache:
-        hit = cache.get(ctx, x, w)
-        if hit is not None:
-            return hit
-    poly = get_engine(ctx, descent_rule).polynomial(x, w)
-    if use_cache and ctx.bruhat_leq(x, w):
-        cache.put(ctx, x, w, poly)
-    return poly
+def kl_polynomial(ctx, x, w):
+    """P_{x,w} in the given context."""
+    return get_engine(ctx).polynomial(x, w)
 
 
 def mu(ctx, x, w):
@@ -332,7 +187,8 @@ def r_polynomial(ctx, x, w):
 
 
 def verify_inversion_identity(ctx, x, w):
-    return get_engine(ctx).inversion_identity_holds(x, w)
+    lhs, rhs = get_engine(ctx).inversion_identity(x, w)
+    return lhs == rhs
 
 
 def kl_table(ctx, w):

@@ -43,7 +43,7 @@ class ParabolicSubgroup(CoxeterContext):
     function, descents and Bruhat order are the subgroup's own.
     """
 
-    def __init__(self, ambient, generators, root_indices, basis):
+    def __init__(self, ambient, generators, root_indices):
         self.ambient = ambient
         self.system = ambient
         self.enum_cap = ambient.enum_cap
@@ -53,11 +53,8 @@ class ParabolicSubgroup(CoxeterContext):
 
         # Pi' as ambient positive-root indices, ascending
         self.root_indices = tuple(sorted(root_indices))
-        self.subspace_basis = basis
         self.positives_prime = tuple(
             ambient.positive_root_vecs[i] for i in self.root_indices)
-        self.roots_prime = self.positives_prime + tuple(
-            _negate(v) for v in self.positives_prime)
         self.positive_root_vecs = self.positives_prime
         self.reflections = tuple(
             ambient.reflections[i] for i in self.root_indices)
@@ -159,10 +156,8 @@ def parabolic_from_reflections(system, refl_set):
             gen_coords.append(system.positive_root_vecs[idx])
 
     basis_space = RowSpace(system.rank)
-    basis = []
     for v in gen_coords:
-        if basis_space.add(v):
-            basis.append(v)
+        basis_space.add(v)
 
     prime_indices = [i for i, v in enumerate(system.positive_root_vecs)
                      if basis_space.contains(v)]
@@ -174,7 +169,7 @@ def parabolic_from_reflections(system, refl_set):
                 "reflection set is not parabolic: the reflection with root "
                 f"{v} lies in the span but not in the generated subgroup",
                 witness=system.reflections[i])
-    return ParabolicSubgroup(system, gens, prime_indices, tuple(basis))
+    return ParabolicSubgroup(system, gens, prime_indices)
 
 
 def parabolic_conjugate(system, x, gen_indices):

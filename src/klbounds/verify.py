@@ -36,16 +36,17 @@ import random
 import time
 
 from .bounds import (brenti_simion, coefficientwise_bound,
-                     conjugate_is_standard, main_bound, monotonicity_bound)
+                     conjugate_is_standard, main_bound, monotonicity_bound,
+                     parabolic_equality)
 from .cartan import weyl_group_order
 from .coxeter import get_system
 from .errors import EnumerationCapError, ParseError
-from .kl import KLCache, get_engine, kl_polynomial
+from .kl import get_engine
 from .parabolic import (all_parabolic_subgroups, describe_subgroup,
                         parse_subgroup_spec, phi_coset, phi_root,
                         standard_parabolic_subgroups)
 from .patterns import conjecture_p2_patterns, is_rationally_smooth_typeA
-from .polynomials import IntPolynomial, ONE, ZERO
+from .polynomials import IntPolynomial, ONE
 
 SUITE_NAMES = (
     "main-theorem",
@@ -140,7 +141,6 @@ class Unit:
     rank: int
     kind: str
     arg: str
-    cache_path: str = None
 
 
 def canonical_json(obj):
@@ -197,8 +197,12 @@ def _eligible_base(sub, x):
 
 # -- suite units
 
-def build_units(suite, system, parabolic=None, slow=False, cache_path=None):
-    """The deterministic unit list for one suite run."""
+def build_units(suite, system, parabolic=None, slow=False, cap=None):
+    """The deterministic unit list for one suite run.
+
+    Every suite enumerates the whole group, so an enumeration cap below
+    the group order is refused here, before any unit runs.
+    """
     if suite not in SUITE_NAMES:
         raise ParseError(f"unknown suite {suite!r}; "
                          f"choose one of {', '.join(SUITE_NAMES)}")
@@ -212,9 +216,12 @@ def build_units(suite, system, parabolic=None, slow=False, cache_path=None):
         raise EnumerationCapError(
             f"group order {order} exceeds {SLOW_ORDER_LIMIT}; "
             "pass slow=True (--slow) to run anyway", SLOW_ORDER_LIMIT)
+    if cap is not None and order > cap:
+        raise EnumerationCapError(
+            f"group order {order} exceeds cap {cap}", cap)
 
     def unit(kind, arg):
-        return Unit(suite, fam, rank, kind, arg, cache_path)
+        return Unit(suite, fam, rank, kind, arg)
 
     if suite in ("main-theorem", "coefficientwise", "parabolic-equality",
                  "monotonicity", "coset-theorem"):
@@ -239,7 +246,7 @@ def build_units(suite, system, parabolic=None, slow=False, cache_path=None):
     return units
 
 
-def _unit_main_theorem(system, arg, cache):
+def _unit_main_theorem(system, arg):
     sub = parse_subgroup_spec(system, arg)
     desc = describe_subgroup(sub)
     fam, rank = system.datum.family, system.datum.rank
@@ -248,7 +255,7 @@ def _unit_main_theorem(system, arg, cache):
     for x in els:
         xs = _fmt(system, x)
         for w in els:
-            rep = main_bound(sub, x, w, cache)
+            rep = main_bound(sub, x, w)
             detail = (
                 ("comparable", rep.comparable),
                 ("maximal_set", [_fmt(system, y) for y in rep.maximal_set]),
@@ -260,7 +267,7 @@ def _unit_main_theorem(system, arg, cache):
     return out
 
 
-def _unit_coefficientwise(system, arg, cache):
+def _unit_coefficientwise(system, arg):
     sub = parse_subgroup_spec(system, arg)
     desc = describe_subgroup(sub)
     fam, rank = system.datum.family, system.datum.rank
@@ -271,7 +278,7 @@ def _unit_coefficientwise(system, arg, cache):
             continue
         xs = _fmt(system, x)
         for w in els:
-            rep = coefficientwise_bound(sub, x, w, cache)
+            rep = coefficientwise_bound(sub, x, w)
             lhs = IntPolynomial(tuple(r[1] for r in rep.degrees))
             rhs = IntPolynomial(tuple(r[2] for r in rep.degrees))
             detail = (
@@ -285,7 +292,7 @@ def _unit_coefficientwise(system, arg, cache):
     return out
 
 
-def _unit_parabolic_equality(system, arg, cache):
+def _unit_parabolic_equality(system, arg):
     sub = parse_subgroup_spec(system, arg)
     desc = describe_subgroup(sub)
     fam, rank = system.datum.family, system.datum.rank
@@ -294,25 +301,23 @@ def _unit_parabolic_equality(system, arg, cache):
         if not _eligible_base(sub, x):
             continue
         xs = _fmt(system, x)
-        fx = phi_root(sub, x)
         coset = _lex_sorted(system,
                             (system.multiply(u, x) for u in sub.elements()))
         for w in coset:
-            lhs = kl_polynomial(system, x, w, cache)
-            rhs = kl_polynomial(sub, fx, phi_root(sub, w))
+            res = parabolic_equality(sub, x, w)
             out.append(Verdict("PARABOLIC-EQ", fam, rank, desc, xs,
-                               _fmt(system, w), _poly_token(lhs),
-                               _poly_token(rhs), lhs == rhs))
+                               _fmt(system, w), _poly_token(res.lhs),
+                               _poly_token(res.rhs), res.holds))
     return out
 
 
-def _unit_monotonicity(system, arg, cache):
+def _unit_monotonicity(system, arg):
     sub = parse_subgroup_spec(system, arg)
     desc = describe_subgroup(sub)
     fam, rank = system.datum.family, system.datum.rank
     out = []
     for w in _lex_elements(system):
-        rep = monotonicity_bound(sub, w, cache)
+        rep = monotonicity_bound(sub, w)
         detail = (
             ("coset_min", _fmt(system, rep.coset_min)),
             ("mid", rep.mid),
@@ -324,7 +329,7 @@ def _unit_monotonicity(system, arg, cache):
     return out
 
 
-def _unit_coset_theorem(system, arg, cache):
+def _unit_coset_theorem(system, arg):
     sub = parse_subgroup_spec(system, arg)
     desc = describe_subgroup(sub)
     fam, rank = system.datum.family, system.datum.rank
@@ -368,7 +373,7 @@ def _unit_coset_theorem(system, arg, cache):
     return out
 
 
-def _unit_bs_split(system, arg, cache):
+def _unit_bs_split(system, arg):
     i = int(arg)
     fam, rank = system.datum.family, system.datum.rank
     els = _lex_elements(system)
@@ -382,7 +387,7 @@ def _unit_bs_split(system, arg, cache):
         for v in els:
             if masks[v] != mu_:
                 continue
-            res = brenti_simion(wu, windows[v], i, cache)
+            res = brenti_simion(wu, windows[v], i)
             out.append(Verdict("BS", fam, rank, f"split:{i}", us,
                                _fmt(system, v), _poly_token(res.lhs),
                                _poly_token(res.rhs), res.holds,
@@ -390,7 +395,7 @@ def _unit_bs_split(system, arg, cache):
     return out
 
 
-def _unit_smoothness(system, arg, cache):
+def _unit_smoothness(system, arg):
     lo, hi = (int(p) for p in arg.split(":"))
     fam, rank = system.datum.family, system.datum.rank
     engine = get_engine(system)
@@ -409,7 +414,7 @@ def _unit_smoothness(system, arg, cache):
     return out
 
 
-def _unit_conjecture_p2(system, arg, cache):
+def _unit_conjecture_p2(system, arg):
     lo, hi = (int(p) for p in arg.split(":"))
     fam, rank = system.datum.family, system.datum.rank
     engine = get_engine(system)
@@ -431,7 +436,7 @@ def _unit_conjecture_p2(system, arg, cache):
     return out
 
 
-def _unit_inv_range(system, arg, cache):
+def _unit_inv_range(system, arg):
     lo, hi = (int(p) for p in arg.split(":"))
     fam, rank = system.datum.family, system.datum.rank
     engine = get_engine(system)
@@ -439,26 +444,17 @@ def _unit_inv_range(system, arg, cache):
     out = []
     for x in els[lo:hi]:
         xs = _fmt(system, x)
-        lx = system.length(x)
         for w in els:
-            if not system.bruhat_leq(x, w):
-                out.append(Verdict("KL-INV", fam, rank, "-", xs,
-                                   _fmt(system, w), "0", "0", True,
-                                   (("comparable", False),)))
-                continue
-            col = engine.column(w)
-            rhs = ZERO
-            for z, pz in col.items():
-                if system.bruhat_leq(x, z):
-                    rhs = rhs + engine.r_polynomial(x, z) * pz
-            lhs = engine.polynomial(x, w).reversed_to(system.length(w) - lx)
+            lhs, rhs = engine.inversion_identity(x, w)
+            detail = (() if system.bruhat_leq(x, w)
+                      else (("comparable", False),))
             out.append(Verdict("KL-INV", fam, rank, "-", xs, _fmt(system, w),
                                _poly_token(lhs), _poly_token(rhs),
-                               lhs == rhs))
+                               lhs == rhs, detail))
     return out
 
 
-def _unit_sym_range(system, arg, cache):
+def _unit_sym_range(system, arg):
     lo, hi = (int(p) for p in arg.split(":"))
     fam, rank = system.datum.family, system.datum.rank
     engine = get_engine(system)
@@ -476,7 +472,7 @@ def _unit_sym_range(system, arg, cache):
     return out
 
 
-def _unit_descent_sample(system, arg, cache):
+def _unit_descent_sample(system, arg):
     samples = int(arg)
     fam, rank = system.datum.family, system.datum.rank
     low = get_engine(system, "lowest")
@@ -509,48 +505,31 @@ _RUNNERS = {
     ("inversion-identity", "descent-sample"): _unit_descent_sample,
 }
 
-_WORKER_CACHES = {}
-
-
-def _worker_cache(path, system):
-    """Per-process read-only view of a cache file (workers never append)."""
-    if path is None:
-        return None
-    key = (path, system.datum.family, system.datum.rank)
-    cache = _WORKER_CACHES.get(key)
-    if cache is None:
-        cache = KLCache(path).load(system)
-        cache.path = None
-        _WORKER_CACHES[key] = cache
-    return cache
-
 
 def run_unit(unit):
-    """Worker entry point: run one unit against a read-only cache."""
+    """Run one unit; the entry point of the serial path and of workers."""
     system = get_system(unit.family, unit.rank)
-    cache = _worker_cache(unit.cache_path, system)
-    return _RUNNERS[(unit.suite, unit.kind)](system, unit.arg, cache)
+    return _RUNNERS[(unit.suite, unit.kind)](system, unit.arg)
 
 
 def run_suite(suite, type_text, rank=None, parabolic=None, slow=False,
-              jobs=1, cache_path=None):
+              jobs=1, cap=None):
     """Run one named suite and return its SuiteResult.
 
-    With jobs > 1 the units go to a process pool and any cache file is
-    read-only; a single-job run appends newly computed polynomials to the
-    cache file as it goes.
+    With jobs > 1 the units go to a pool of that many worker processes.
+    A cap below the group order raises EnumerationCapError.
     """
+    if jobs < 1:
+        raise ParseError(f"jobs must be at least 1, got {jobs}")
     system = get_system(type_text, rank)
     units = build_units(suite, system, parabolic=parabolic, slow=slow,
-                        cache_path=cache_path)
+                        cap=cap)
     start = time.perf_counter()
-    if jobs and jobs > 1:
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(run_unit, units))
     else:
-        cache = KLCache(cache_path).load(system) if cache_path else None
-        chunks = [_RUNNERS[(u.suite, u.kind)](system, u.arg, cache)
-                  for u in units]
+        chunks = [run_unit(u) for u in units]
     records = tuple(rec for chunk in chunks for rec in chunk)
     elapsed = time.perf_counter() - start
     return SuiteResult(suite, system.datum.family, system.datum.rank,

@@ -15,20 +15,6 @@ import pytest
 from klbounds import get_system
 
 
-def pytest_addoption(parser):
-    parser.addoption("--slow", action="store_true", default=False,
-                     help="run checks marked slow (multi-minute budgets)")
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--slow"):
-        return
-    skip = pytest.mark.skip(reason="pass --slow to run")
-    for item in items:
-        if "slow" in item.keywords:
-            item.add_marker(skip)
-
-
 @pytest.fixture(scope="session")
 def a2():
     return get_system("A2")

@@ -91,7 +91,7 @@ def test_parabolic_equality_on_cosets(a3):
             continue
         for u in subels:
             w = a3.multiply(u, x)
-            assert parabolic_equality(sub, x, w)
+            assert parabolic_equality(sub, x, w).holds
 
 
 def test_parabolic_equality_needs_same_coset(a3):

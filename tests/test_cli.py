@@ -165,39 +165,22 @@ def test_resource_cap_exit_code(capsys):
     assert code == 0
 
 
-def test_cache_flow(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("KLBOUNDS_CACHE_DIR", str(tmp_path))
-    code, out, _ = run(capsys, "kl", "--type", "A3",
-                       "--x", "2143", "--w", "4231",
-                       "--cache", "cli.cache")
+def test_verify_honours_cap(capsys):
+    code, out, err = run(capsys, "verify", "smoothness", "--type", "A3",
+                         "--cap", "5")
+    assert code == 3
+    assert out == ""
+    assert "group order 24 exceeds cap 5" in err
+    code, out, _ = run(capsys, "verify", "smoothness", "--type", "A3",
+                       "--cap", "24")
     assert code == 0
-    assert (tmp_path / "cli.cache").exists()
-
-    code, out, _ = run(capsys, "cache", "info", "--cache", "cli.cache")
-    assert code == 0
-    assert "1 lines" in out and "A3: 1 entries" in out
-
-    code, out, _ = run(capsys, "cache", "info", "--cache", "cli.cache",
-                       "--format", "json")
-    record = json.loads(out)
-    assert record["schema"] == "klbounds.cache/1"
-    assert record["groups"] == {"A3": 1}
-
-    code, out, _ = run(capsys, "cache", "clear", "--cache", "cli.cache")
-    assert code == 0
-    assert not (tmp_path / "cli.cache").exists()
-    code, out, _ = run(capsys, "cache", "clear", "--cache", "cli.cache")
-    assert code == 0 and "no cache" in out
+    assert out.strip().split("\n")[-1].startswith("checked=24 failed=0")
 
 
-def test_corrupt_cache_is_a_parse_error(capsys, tmp_path):
-    path = tmp_path / "bad.cache"
-    path.write_text("A 3 1,2,3,4 4,2,3,1 : 2,1\n")
-    code, _, err = run(capsys, "kl", "--type", "A3",
-                       "--x", "2143", "--w", "4231",
-                       "--cache", str(path))
-    assert code == 2
-    assert "constant term" in err
+def test_exceptional_type_named_once(capsys):
+    code, _, err = run(capsys, "kl", "--type", "E8", "--x", "s1", "--w", "s2")
+    assert code == 3
+    assert "E8 has 696729600 elements" in err
 
 
 def test_verify_with_jobs_flag(capsys):
@@ -205,6 +188,15 @@ def test_verify_with_jobs_flag(capsys):
                        "--jobs", "2")
     assert code == 0
     assert "failed=0" in out.strip().split("\n")[-1]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_usage_error(capsys, jobs):
+    code, out, err = run(capsys, "verify", "coset-theorem", "--type", "A2",
+                         "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    assert "jobs must be at least 1" in err
 
 
 def test_broken_pipe_exits_quietly(monkeypatch):

@@ -3,9 +3,8 @@ import random
 import pytest
 
 from conftest import oracle_kl_table
-from klbounds import (KLCache, get_system, kl_polynomial, kl_table, mu,
+from klbounds import (get_system, kl_polynomial, kl_table, mu,
                       r_polynomial, verify_inversion_identity)
-from klbounds.errors import CacheError
 from klbounds.kl import get_engine
 from klbounds.polynomials import ONE, ZERO, IntPolynomial
 
@@ -115,87 +114,3 @@ def test_inversion_identity_wrapper(a3):
     for x in a3.elements():
         assert verify_inversion_identity(a3, x, w)
 
-
-# -- the persistent cache
-
-def test_cache_round_trip(tmp_path, a3):
-    path = tmp_path / "kl.cache"
-    cache = KLCache(str(path))
-    x = a3.parse_element("2143")
-    w = a3.parse_element("4231")
-    poly = kl_polynomial(a3, x, w, cache)
-    assert poly == IntPolynomial((1, 1))
-    assert path.read_text() == "A 3 2,1,4,3 4,2,3,1 : 1,1\n"
-
-    fresh = KLCache(str(path)).load(a3)
-    assert fresh.get(a3, x, w) == poly
-    assert fresh.hits == 1
-    again = kl_polynomial(a3, x, w, fresh)
-    assert again == poly
-
-
-def test_cache_lines_survive_foreign_groups(tmp_path):
-    # one cache file shared by two groups keeps both sets of lines intact
-    path = tmp_path / "kl.cache"
-    a3 = get_system("A3")
-    b2 = get_system("B2")
-    cache = KLCache(str(path))
-    kl_polynomial(a3, a3.parse_element("2143"), a3.parse_element("4231"),
-                  cache)
-    kl_polynomial(b2, b2.identity, b2.parse_element("-1,-2"), cache)
-    lines = cache.dump_lines()
-    assert len(lines) == 2
-
-    reread = KLCache(str(path))
-    assert reread.dump_lines() == lines
-    assert reread.get(b2, b2.identity, b2.parse_element("-1,-2")) is not None
-    assert reread.get(a3, a3.parse_element("2143"),
-                      a3.parse_element("4231")) == IntPolynomial((1, 1))
-    # nothing got re-rendered or dropped along the way
-    assert reread.dump_lines() == lines
-
-
-def test_cache_stable_across_reruns(tmp_path, a3):
-    path = tmp_path / "kl.cache"
-    w = a3.parse_element("4231")
-    for _ in range(3):
-        cache = KLCache(str(path))
-        for x in a3.elements():
-            if a3.bruhat_leq(x, w):
-                kl_polynomial(a3, x, w, cache)
-        count = len(path.read_text().splitlines())
-        assert count == len(a3.lower_interval(w))
-
-
-def test_cache_rejects_poisoned_lines(tmp_path, a3):
-    path = tmp_path / "kl.cache"
-    bad = [
-        "A 3 1,2,3,4 4,2,3,1 : 2,1",      # constant term not 1
-        "A 3 1,2,3,4 4,2,3,1 : 1,-1",     # negative coefficient
-        "A 3 1,2,3,4 2,1,3,4 : 1,1",      # degree beyond the bound
-        "A 3 9,9,9,9 4,2,3,1 : 1",        # unparseable element
-        "A 3 1,2,3,4 4,2,3,1 1,1",        # missing separator
-    ]
-    for line in bad:
-        path.write_text(line + "\n")
-        with pytest.raises(CacheError):
-            KLCache(str(path)).load(a3)
-
-
-def test_cache_ignored_for_parabolic_contexts(tmp_path, a3):
-    from klbounds import parse_subgroup_spec
-    sub = parse_subgroup_spec(a3, "standard:s1,s3")
-    path = tmp_path / "kl.cache"
-    cache = KLCache(str(path))
-    top = max(sub.elements(), key=sub.length)
-    kl_polynomial(sub, sub.identity, top, cache)
-    assert not path.exists()  # nothing persisted for the subgroup
-    assert cache.dump_lines() == []
-
-
-def test_cache_save_elsewhere(tmp_path, a3):
-    cache = KLCache()
-    kl_polynomial(a3, a3.identity, a3.parse_element("3412"), cache)
-    target = tmp_path / "copy.cache"
-    cache.save(str(target))
-    assert KLCache(str(target)).load(a3).entries == cache.entries

@@ -162,11 +162,3 @@ def test_json_records_round_trip():
         parsed = json.loads(blob)
         assert parsed["schema"] == "klbounds.verdict/1"
         assert parsed["holds"] == rec.holds
-
-
-def test_cache_accelerates_second_run(tmp_path):
-    path = tmp_path / "suite.cache"
-    first = run_suite("parabolic-equality", "A3", cache_path=str(path))
-    assert path.exists() and path.stat().st_size > 0
-    second = run_suite("parabolic-equality", "A3", cache_path=str(path))
-    assert _lines(first) == _lines(second)
