@@ -125,9 +125,11 @@ class CoxeterContext:
     """Shared behavior for a Coxeter system and its parabolic subgroups.
 
     Subclasses provide ``system``, ``identity``, ``simple_root_vecs``,
-    ``positive_root_vecs``, ``simple_reflections``, ``num_simples`` and
-    ``enum_cap``; everything here (length, descents, Bruhat order,
-    intervals, enumeration, canonical words) is derived from those.
+    ``positive_root_vecs``, ``num_simples``, ``enum_cap`` and the generator
+    multiplications ``left_mul`` and ``right_mul``; everything here
+    (length, descents, Bruhat order, enumeration, canonical words) is
+    derived from those.  Intervals are not searched for: each [e, w] is
+    lifted from the interval [e, s w] that the KL engine already holds.
     """
 
     def _init_context(self):
@@ -138,15 +140,6 @@ class CoxeterContext:
         self._all_elements = None
 
     # -- delegation to the ambient group operations
-
-    def mult(self, u, v):
-        return self.system.multiply(u, v)
-
-    def inv(self, w):
-        return self.system.inverse(w)
-
-    def act(self, w, vec):
-        return self.system.act(w, vec)
 
     def act_inv(self, w, vec):
         return self.system.act_inv(w, vec)
@@ -166,9 +159,6 @@ class CoxeterContext:
         """True when l(s_i w) < l(w) for the i-th context generator."""
         return _vec_is_negative(self.act_inv(w, self.simple_root_vecs[i]))
 
-    def right_descent(self, w, i):
-        return _vec_is_negative(self.act(w, self.simple_root_vecs[i]))
-
     def left_descents(self, w):
         ds = self._ldesc.get(w)
         if ds is None:
@@ -180,14 +170,6 @@ class CoxeterContext:
     def first_left_descent(self, w):
         ds = self.left_descents(w)
         return ds[0] if ds else None
-
-    # -- multiplication by context generators (overridden for speed)
-
-    def left_mul(self, i, w):
-        return self.mult(self.simple_reflections[i], w)
-
-    def right_mul(self, w, i):
-        return self.mult(w, self.simple_reflections[i])
 
     # -- Bruhat order
 
@@ -219,44 +201,22 @@ class CoxeterContext:
         memo[key] = res
         return res
 
-    def lower_interval(self, w):
-        """All x with x <= w, sorted by (length, canonical word).
+    def lower_interval(self, i, below):
+        """[e, s_i v] from below = [e, v], longest first; needs s_i v > v.
 
-        Grown upward from the identity: every x <= w other than the identity
-        covers some element of [e, w], so ascending right multiplications
-        filtered by bruhat_leq reach the whole interval.
+        Lifting property (Bjorner-Brenti, GTM 231, Prop. 2.2.7):
+        [e, s v] = [e, v] union s[e, v].  When s z < z, s z already lies in
+        [e, v], so only the ascents z of below add members.
         """
-        lw = self.length(w)
+        members = dict.fromkeys(below)
+        for z in below:
+            if not self.left_descent(z, i):
+                members[self.left_mul(i, z)] = None
         cap = self.enum_cap
-        identity = self.identity
-        self._length.setdefault(identity, 0)
-        seen = {identity}
-        members = [identity]
-        frontier = [identity]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                lx = self.length(x)
-                if lx >= lw:
-                    continue
-                for i in range(self.num_simples):
-                    if self.right_descent(x, i):
-                        continue
-                    y = self.right_mul(x, i)
-                    if y in seen:
-                        continue
-                    seen.add(y)
-                    self._length.setdefault(y, lx + 1)
-                    if self.bruhat_leq(y, w):
-                        members.append(y)
-                        nxt.append(y)
-                        if len(members) > cap:
-                            raise EnumerationCapError(
-                                f"interval below element of length {lw} "
-                                f"exceeds cap {cap}", cap)
-            frontier = nxt
-        members.sort(key=self.sort_key)
-        return tuple(members)
+        if len(members) > cap:
+            raise EnumerationCapError(
+                f"interval of {len(members)} elements exceeds cap {cap}", cap)
+        return sorted(members, key=self.length, reverse=True)
 
     def elements(self):
         """Every element of the context group, sorted by sort_key."""
@@ -415,9 +375,6 @@ class CoxeterSystem(CoxeterContext):
 
     def left_descent(self, w, i):
         return _vec_is_negative(w.inv_images[i])
-
-    def right_descent(self, w, i):
-        return _vec_is_negative(w.images[i])
 
     def oneline_cached(self, w):
         vals = self._oneline_memo.get(w)

@@ -9,9 +9,12 @@ of w and v = s w,
               - sum mu(z, v) q^{(l(w)-l(z))/2} P_{x,z}   when s x < x,
 
 where the sum runs over x <= z <= v with s z < z, and mu(z, v) is the
-coefficient of q^{(l(v)-l(z)-1)/2} in P_{z,v}.  Because the context may be
-a parabolic subgroup, the same engine computes the subgroup polynomials P'
-using the subgroup's own length and Bruhat order.
+coefficient of q^{(l(v)-l(z)-1)/2} in P_{z,v}.  The x to visit need no
+search: by the lifting property [e, w] = [e, v] union s[e, v], so the
+context lifts them from the keys of the column of v, longest first, and
+x with s x > x then finds P_{sx,w} already computed.  Because the context
+may be a parabolic subgroup, the same engine computes the subgroup
+polynomials P' using the subgroup's own length and Bruhat order.
 
 R-polynomials and the inversion identity
 
@@ -68,7 +71,7 @@ class KLEngine:
                 mulist.append((z, m, lv - diff))
 
         col = {}
-        for x in reversed(ctx.lower_interval(w)):
+        for x in ctx.lower_interval(i, colv):
             lx = ctx.length(x)
             sx = ctx.left_mul(i, x)
             if not ctx.left_descent(x, i):

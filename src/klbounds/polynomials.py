@@ -118,20 +118,6 @@ class IntPolynomial:
             out[n - i] = c
         return IntPolynomial(out)
 
-    def coeff_string(self):
-        """Comma-separated ascending coefficients, '0' for zero."""
-        if not self.coeffs:
-            return "0"
-        return ",".join(str(c) for c in self.coeffs)
-
-    @classmethod
-    def from_coeff_string(cls, text):
-        parts = [p.strip() for p in text.split(",")]
-        try:
-            return cls(int(p) for p in parts)
-        except ValueError:
-            raise ValueError(f"bad coefficient list: {text!r}") from None
-
     def __str__(self):
         if not self.coeffs:
             return "0"

@@ -129,12 +129,16 @@ def test_criterion_07_coefficientwise_suites():
 def test_criterion_08_smoothness_equivalence():
     start = time.perf_counter()
     orders = {"A1": 2, "A2": 6, "A3": 24, "A4": 120, "A5": 720}
+    # the classical counts of smooth permutations of S2..S6
+    smooth = {"A1": 2, "A2": 6, "A3": 22, "A4": 88, "A5": 366}
     failed = checked = 0
     for name, order in orders.items():
         result = run_suite("smoothness", name)
         failed += result.failed
         checked += result.checked
         assert result.checked == order
+        assert sum(1 for r in result.records if r.theorem == "SMOOTH"
+                   and r.lhs == "1") == smooth[name], name
     elapsed = time.perf_counter() - start
     ok = failed == 0 and checked == 872 and elapsed < 900
     report(8, ok, f"checked={checked} failed={failed} ({elapsed:.1f}s)")

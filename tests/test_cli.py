@@ -177,6 +177,19 @@ def test_verify_honours_cap(capsys):
     assert out.strip().split("\n")[-1].startswith("checked=24 failed=0")
 
 
+def test_kl_honours_cap(capsys):
+    # [e, 4321] is all 24 elements of A3
+    code, out, err = run(capsys, "kl", "--type", "A3",
+                         "--x", "1234", "--w", "4321", "--cap", "5")
+    assert code == 3
+    assert out == ""
+    assert "resource cap" in err
+    code, out, _ = run(capsys, "kl", "--type", "A3",
+                       "--x", "1234", "--w", "4321", "--cap", "24")
+    assert code == 0
+    assert out == "1 ; P(1)=1\n"
+
+
 def test_exceptional_type_named_once(capsys):
     code, _, err = run(capsys, "kl", "--type", "E8", "--x", "s1", "--w", "s2")
     assert code == 3

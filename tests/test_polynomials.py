@@ -62,20 +62,6 @@ def test_str_forms():
     assert str(IntPolynomial((0, -1))) == "-q"
 
 
-def test_coeff_string_round_trip():
-    p = IntPolynomial((1, 0, 2))
-    assert p.coeff_string() == "1,0,2"
-    assert IntPolynomial.from_coeff_string("1,0,2") == p
-
-
-@given(coeff_lists)
-def test_coeff_string_round_trip_property(coeffs):
-    p = IntPolynomial(coeffs)
-    if p == ZERO:
-        return
-    assert IntPolynomial.from_coeff_string(p.coeff_string()) == p
-
-
 @given(coeff_lists, coeff_lists, st.integers(-9, 9))
 def test_evaluation_is_a_ring_map(a, b, t):
     pa, pb = IntPolynomial(a), IntPolynomial(b)
