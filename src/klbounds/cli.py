@@ -19,7 +19,8 @@ intervals refuse to start when the group order exceeds 1000 unless
 --slow is passed.  The pattern map itself never enumerates the ambient
 group, so ``phi`` runs ungated.  --cap N refuses any enumeration beyond N
 elements; ``verify`` enumerates the whole group, so it refuses at once
-when the group order exceeds N.
+when the group order exceeds N or the shared system's own cap, whichever
+is lower.
 
 Formats: text (default), json (one canonical object per line, every
 record carrying a versioned ``schema`` field), csv.  Record streams are

@@ -130,6 +130,9 @@ class CoxeterContext:
     (length, descents, Bruhat order, enumeration, canonical words) is
     derived from those.  Intervals are not searched for: each [e, w] is
     lifted from the interval [e, s w] that the KL engine already holds.
+    ``CoxeterSystem.left_mul`` keeps a lazily filled product table per
+    generator, so the lifting, the Bruhat descent recursion and canonical
+    words look up s_i w instead of recomputing it from root images.
     """
 
     def _init_context(self):
@@ -298,6 +301,7 @@ class CoxeterSystem(CoxeterContext):
                       for i in range(n))
         self.simple_root_vecs = units
         self._intern = {}
+        self._lmul = tuple({} for _ in range(n))
         self._oneline_memo = {}
         self.identity = self._make(units, units)
         self._length[self.identity] = 0
@@ -400,7 +404,17 @@ class CoxeterSystem(CoxeterContext):
         return hit
 
     def left_mul(self, i, w):
-        """s_i w, with the new length propagated when known."""
+        """s_i w, tabulated lazily with one table per generator.
+
+        The first call for (i, w) computes s_i w from root images,
+        propagates the length when known, and stores both w -> s_i w and
+        s_i w -> w (s_i is an involution), so every later call for either
+        element is one dict lookup.
+        """
+        table = self._lmul[i]
+        el = table.get(w)
+        if el is not None:
+            return el
         acol = self._acols[i]
         new_images = []
         for col in w.images:
@@ -421,6 +435,8 @@ class CoxeterSystem(CoxeterContext):
         if lw is not None:
             self._length.setdefault(
                 el, lw - 1 if _vec_is_negative(inv[i]) else lw + 1)
+        table[w] = el
+        table[el] = w
         return el
 
     def right_mul(self, w, i):

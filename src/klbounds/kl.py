@@ -110,8 +110,8 @@ class KLEngine:
     def mu(self, x, w):
         """Top-degree coefficient mu(x, w).
 
-        Requires x < w is not violated from above: x == w or x > w raise.
-        Incomparable pairs return 0, matching P_{x,w} = 0.
+        Raises ValueError when w <= x.  Incomparable pairs give 0, since
+        P_{x,w} = 0 there.
         """
         ctx = self.ctx
         if x == w or ctx.bruhat_leq(w, x):

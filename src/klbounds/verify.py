@@ -200,8 +200,9 @@ def _eligible_base(sub, x):
 def build_units(suite, system, parabolic=None, slow=False, cap=None):
     """The deterministic unit list for one suite run.
 
-    Every suite enumerates the whole group, so an enumeration cap below
-    the group order is refused here, before any unit runs.
+    Every suite enumerates the whole group, so a group order above the
+    enumeration cap (``cap`` or the system's own, whichever is lower) is
+    refused here, before any unit runs or any subgroup is listed.
     """
     if suite not in SUITE_NAMES:
         raise ParseError(f"unknown suite {suite!r}; "
@@ -216,9 +217,14 @@ def build_units(suite, system, parabolic=None, slow=False, cap=None):
         raise EnumerationCapError(
             f"group order {order} exceeds {SLOW_ORDER_LIMIT}; "
             "pass slow=True (--slow) to run anyway", SLOW_ORDER_LIMIT)
-    if cap is not None and order > cap:
+    # the units run on the shared system, so its own cap bounds any --cap
+    limit = system.enum_cap
+    name = "the shared system's enumeration cap"
+    if cap is not None and cap < limit:
+        limit, name = cap, "cap"
+    if order > limit:
         raise EnumerationCapError(
-            f"group order {order} exceeds cap {cap}", cap)
+            f"group order {order} exceeds {name} {limit}", limit)
 
     def unit(kind, arg):
         return Unit(suite, fam, rank, kind, arg)

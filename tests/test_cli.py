@@ -175,6 +175,12 @@ def test_verify_honours_cap(capsys):
                        "--cap", "24")
     assert code == 0
     assert out.strip().split("\n")[-1].startswith("checked=24 failed=0")
+    # a cap above the shared system's own cap cannot raise it, but a
+    # group below both still runs
+    code, out, _ = run(capsys, "verify", "smoothness", "--type", "A3",
+                       "--cap", "2000000")
+    assert code == 0
+    assert out.strip().split("\n")[-1].startswith("checked=24 failed=0")
 
 
 def test_kl_honours_cap(capsys):

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import bfs_lengths, subword_interval
 from klbounds import build_system, get_system, weyl_group_order
-from klbounds.cartan import CartanDatum, positive_root_count
+from klbounds.cartan import CartanDatum, parse_type, positive_root_count
 from klbounds.errors import EnumerationCapError, ParseError
 from klbounds.kl import get_engine
 from klbounds.parabolic import parse_subgroup_spec
@@ -72,6 +72,32 @@ def test_canonical_words_are_reduced(name):
         for i in word:
             u = system.right_mul(u, i)
         assert u == w
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "D4", "G2"])
+def test_left_mul_table_matches_root_images(name):
+    # a system of its own, so its product tables start empty
+    system = build_system(parse_type(name))
+    gens = system.simple_reflections
+    for w in system.elements():
+        for i in range(system.num_simples):
+            u = system.left_mul(i, w)
+            assert u == system.multiply(gens[i], w)
+            assert system.left_mul(i, u) is w
+            step = -1 if system.left_descent(w, i) else 1
+            assert system.length(u) == system.length(w) + step
+
+
+def test_left_mul_table_fill_order_is_invisible():
+    # fill the tables longest element first, before any canonical word
+    # (elements() sorts by canonical word, so BFS finds the elements here)
+    warm = build_system(parse_type("B3"))
+    for w in reversed(list(bfs_lengths(warm))):
+        for i in range(warm.num_simples):
+            warm.left_mul(i, w)
+    cold = build_system(parse_type("B3"))
+    assert {w.images: warm.canonical_word(w) for w in warm.elements()} == \
+        {w.images: cold.canonical_word(w) for w in cold.elements()}
 
 
 def test_group_laws_sampled(b3):

@@ -148,6 +148,19 @@ def test_slow_gate():
     assert run_suite("main-theorem", "A2", slow=True).failed == 0
 
 
+def test_cap_above_system_cap_fails_before_enumerating(monkeypatch):
+    import klbounds.verify as verify
+
+    def refuse(*_):
+        raise AssertionError("enumerated the parabolic subgroups of E7")
+
+    monkeypatch.setattr(verify, "all_parabolic_subgroups", refuse)
+    # E7 has 2,903,040 elements, above the shared system's own cap
+    with pytest.raises(EnumerationCapError, match="enumeration cap 1000000"):
+        verify.build_units("main-theorem", get_system("E7"), slow=True,
+                           cap=5_000_000)
+
+
 def test_parabolic_and_suite_mismatch():
     with pytest.raises(ParseError):
         run_suite("smoothness", "A3", parabolic="standard:s1")
