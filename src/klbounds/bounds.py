@@ -285,8 +285,14 @@ def conjugate_is_standard(sub, x):
     return True
 
 
+def standardness_holds(sub, x):
+    """The hypothesis of the degreewise bound and the coset equality:
+    W' or x^{-1} W' x is a standard parabolic."""
+    return sub.is_standard or conjugate_is_standard(sub, x)
+
+
 def _require_standardness(sub, x, what):
-    if not (sub.is_standard or conjugate_is_standard(sub, x)):
+    if not standardness_holds(sub, x):
         raise HypothesisError(
             f"{what} needs the subgroup, or its conjugate by the test "
             "element, to be standard")

@@ -4,7 +4,7 @@ Three subcommands:
 
     klbounds kl --type A3 --x 2143 --w 4231
     klbounds phi --type B4 --w -4,2,1,-3 --parabolic unsigned
-    klbounds verify main-theorem --type A3 --all
+    klbounds verify main-theorem --type A3
 
 Elements are one-line windows for the classical families (``2143``,
 ``-4,2,1,-3``) with reduced words (``s1 s2 s1`` or ``s1.s2.s1``) as the
@@ -17,10 +17,10 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 Large groups are gated: computations that enumerate elements or Bruhat
 intervals refuse to start when the group order exceeds 1000 unless
 --slow is passed.  The pattern map itself never enumerates the ambient
-group, so ``phi`` runs ungated.  --cap N refuses any enumeration beyond N
-elements; ``verify`` enumerates the whole group, so it refuses at once
-when the group order exceeds N or the shared system's own cap, whichever
-is lower.
+group, so ``phi`` runs ungated and takes neither --slow nor --cap.  For
+``kl`` and ``verify``, --cap N refuses any enumeration beyond N elements;
+``verify`` enumerates the whole group, so it refuses at once when the
+group order exceeds N or the shared system's own cap, whichever is lower.
 
 Formats: text (default), json (one canonical object per line, every
 record carrying a versioned ``schema`` field), csv.  Record streams are
@@ -58,6 +58,10 @@ def _add_common(sub, element_args=()):
                          help=f"element {name} (one-line or reduced word)")
     sub.add_argument("--format", choices=("text", "json", "csv"),
                      default="text", dest="fmt", help="output format")
+
+
+def _add_limits(sub):
+    """Options of the subcommands that enumerate elements."""
     sub.add_argument("--slow", action="store_true",
                      help="allow groups with more than "
                           f"{SLOW_ORDER_LIMIT} elements")
@@ -74,6 +78,7 @@ def _build_parser():
 
     kl = commands.add_parser("kl", help="one Kazhdan-Lusztig polynomial")
     _add_common(kl, element_args=("x", "w"))
+    _add_limits(kl)
     kl.set_defaults(func=cmd_kl)
 
     phi = commands.add_parser("phi", help="pattern map into a parabolic")
@@ -88,11 +93,10 @@ def _build_parser():
     verify.add_argument("suite", choices=SUITE_NAMES, metavar="SUITE",
                         help="one of: " + ", ".join(SUITE_NAMES))
     _add_common(verify)
+    _add_limits(verify)
     verify.add_argument("--parabolic", default=None, metavar="SPEC",
-                        help="restrict to one subgroup spec")
-    verify.add_argument("--all", action="store_true",
-                        help="sweep every applicable subgroup "
-                             "(the default when --parabolic is omitted)")
+                        help="restrict to one subgroup spec (default: "
+                             "every subgroup the suite sweeps)")
     verify.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes (records merge "
                              "deterministically)")
@@ -189,7 +193,7 @@ def _reflection_word(sub, u):
 
 
 def cmd_phi(args):
-    system = _system_for(args)
+    system = get_system(args.type, args.rank)
     w = system.parse_element(args.w)
     sub = parse_subgroup_spec(system, args.parabolic)
     image = phi_root(sub, w)
@@ -228,8 +232,6 @@ def cmd_phi(args):
 
 
 def cmd_verify(args):
-    if args.all and args.parabolic is not None:
-        raise ParseError("--all and --parabolic exclude each other")
     result = run_suite(args.suite, args.type, args.rank,
                        parabolic=args.parabolic, slow=args.slow,
                        jobs=args.jobs, cap=args.cap)

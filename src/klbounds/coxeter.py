@@ -10,6 +10,11 @@ A group element stores the images of all simple roots under the element and
 under its inverse.  That makes inversion free, left and right descent tests
 linear in the rank, and keeps every computation in exact integers.
 
+Every product by a reflection, simple or not, goes through one kernel,
+CoxeterSystem._reflect, which forms the image tuples of t w.  Inverting an
+element swaps its two tuples, so w t = (t w^{-1})^{-1} is the same kernel
+applied to the swapped tuples of w, with the result swapped back.
+
 One-line notation: family A of rank n acts on n+1 letters and w = w_1...w_n+1
 maps i to w_i.  Families B, C, D act on signed coordinate vectors and use
 signed windows with entries separated by commas ("-4,2,1,-3"); the entry t_i
@@ -28,6 +33,7 @@ unsigned permutations, matching the classical combinatorics.
 
 from bisect import insort
 from functools import lru_cache
+from operator import mul
 
 from .cartan import CartanDatum, parse_type, positive_root_count
 from .errors import EnumerationCapError, InvalidCartanError, ParseError
@@ -37,7 +43,30 @@ DEFAULT_ENUM_CAP = 1_000_000
 
 
 def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
+
+
+def _combine(cols, vec):
+    """Sum of vec[k] * cols[k]: the vector vec under the matrix whose
+    columns are cols (an element's images or inv_images)."""
+    total = None
+    for c, col in zip(vec, cols):
+        if not c:
+            continue
+        if total is None:
+            if c == 1:
+                total = list(col)
+            else:
+                total = [c * x for x in col]
+        elif c == 1:
+            for t, x in enumerate(col):
+                total[t] += x
+        else:
+            for t, x in enumerate(col):
+                total[t] += c * x
+    if total is None:
+        return (0,) * len(vec)
+    return tuple(total)
 
 
 def _vec_is_negative(vec):
@@ -117,22 +146,22 @@ class ReflectionData:
         if not c:
             return vec
         c //= self.norm
-        g = self.coords
-        return tuple(x - c * y for x, y in zip(vec, g))
+        return tuple([x - c * y for x, y in zip(vec, self.coords)])
 
 
 class CoxeterContext:
     """Shared behavior for a Coxeter system and its parabolic subgroups.
 
     Subclasses provide ``system``, ``identity``, ``simple_root_vecs``,
-    ``positive_root_vecs``, ``num_simples``, ``enum_cap`` and the generator
-    multiplications ``left_mul`` and ``right_mul``; everything here
-    (length, descents, Bruhat order, enumeration, canonical words) is
-    derived from those.  Intervals are not searched for: each [e, w] is
-    lifted from the interval [e, s w] that the KL engine already holds.
-    ``CoxeterSystem.left_mul`` keeps a lazily filled product table per
-    generator, so the lifting, the Bruhat descent recursion and canonical
-    words look up s_i w instead of recomputing it from root images.
+    ``positive_root_vecs``, ``num_simples``, ``enum_cap`` and
+    ``_simple_rdata``, the reflection data of the simple generators;
+    everything here (generator products, length, descents, Bruhat order,
+    enumeration, canonical words) is derived from those.  Intervals are not
+    searched for: each [e, w] is lifted from the interval [e, s w] that the
+    KL engine already holds.  ``CoxeterSystem.left_mul`` keeps a lazily
+    filled product table per generator, so the lifting, the Bruhat descent
+    recursion and canonical words look up s_i w instead of recomputing it
+    from root images.
     """
 
     def _init_context(self):
@@ -142,10 +171,13 @@ class CoxeterContext:
         self._words = {}
         self._all_elements = None
 
-    # -- delegation to the ambient group operations
+    # -- generator multiplications, as products by simple reflections
 
-    def act_inv(self, w, vec):
-        return self.system.act_inv(w, vec)
+    def left_mul(self, i, w):
+        return self.system.reflect_mul_left(self._simple_rdata[i], w)
+
+    def right_mul(self, w, i):
+        return self.system.reflect_mul_right(w, self._simple_rdata[i])
 
     # -- length and descents (generic; CoxeterSystem overrides the hot ones)
 
@@ -160,7 +192,8 @@ class CoxeterContext:
 
     def left_descent(self, w, i):
         """True when l(s_i w) < l(w) for the i-th context generator."""
-        return _vec_is_negative(self.act_inv(w, self.simple_root_vecs[i]))
+        return _vec_is_negative(
+            self.system.act_inv(w, self.simple_root_vecs[i]))
 
     def left_descents(self, w):
         ds = self._ldesc.get(w)
@@ -294,8 +327,6 @@ class CoxeterSystem(CoxeterContext):
                 if self.gram[i][j] != self.gram[j][i]:
                     raise InvalidCartanError(
                         "length table inconsistent with Cartan matrix")
-        self._acols = tuple(tuple(A[j][i] for j in range(n))
-                            for i in range(n))
 
         units = tuple(tuple(1 if t == i else 0 for t in range(n))
                       for i in range(n))
@@ -322,52 +353,14 @@ class CoxeterSystem(CoxeterContext):
 
     def act(self, w, vec):
         """Coordinates of w applied to a root-lattice vector."""
-        total = None
-        images = w.images
-        for k, c in enumerate(vec):
-            if not c:
-                continue
-            col = images[k]
-            if total is None:
-                if c == 1:
-                    total = list(col)
-                else:
-                    total = [c * x for x in col]
-            elif c == 1:
-                for t, x in enumerate(col):
-                    total[t] += x
-            else:
-                for t, x in enumerate(col):
-                    total[t] += c * x
-        if total is None:
-            return (0,) * self.rank
-        return tuple(total)
+        return _combine(w.images, vec)
 
     def act_inv(self, w, vec):
-        total = None
-        images = w.inv_images
-        for k, c in enumerate(vec):
-            if not c:
-                continue
-            col = images[k]
-            if total is None:
-                if c == 1:
-                    total = list(col)
-                else:
-                    total = [c * x for x in col]
-            elif c == 1:
-                for t, x in enumerate(col):
-                    total[t] += x
-            else:
-                for t, x in enumerate(col):
-                    total[t] += c * x
-        if total is None:
-            return (0,) * self.rank
-        return tuple(total)
+        return _combine(w.inv_images, vec)
 
     def multiply(self, u, v):
-        images = tuple(self.act(u, col) for col in v.images)
-        inv_images = tuple(self.act_inv(v, col) for col in u.inv_images)
+        images = tuple(_combine(u.images, col) for col in v.images)
+        inv_images = tuple(_combine(v.inv_images, col) for col in u.inv_images)
         return self._make(images, inv_images)
 
     def inverse(self, w):
@@ -406,98 +399,67 @@ class CoxeterSystem(CoxeterContext):
     def left_mul(self, i, w):
         """s_i w, tabulated lazily with one table per generator.
 
-        The first call for (i, w) computes s_i w from root images,
+        The first call for (i, w) computes s_i w as a reflection product,
         propagates the length when known, and stores both w -> s_i w and
         s_i w -> w (s_i is an involution), so every later call for either
         element is one dict lookup.
         """
         table = self._lmul[i]
         el = table.get(w)
-        if el is not None:
-            return el
-        acol = self._acols[i]
-        new_images = []
-        for col in w.images:
-            c = _dot(acol, col)
-            if c:
-                col = list(col)
-                col[i] -= c
-                col = tuple(col)
-            new_images.append(col)
-        inv = w.inv_images
-        base = inv[i]
-        new_inv = tuple(
-            inv[j] if not acol[j] else
-            tuple(x - acol[j] * y for x, y in zip(inv[j], base))
-            for j in range(self.rank))
-        el = self._make(tuple(new_images), new_inv)
-        lw = self._length.get(w)
-        if lw is not None:
-            self._length.setdefault(
-                el, lw - 1 if _vec_is_negative(inv[i]) else lw + 1)
-        table[w] = el
-        table[el] = w
+        if el is None:
+            el = super().left_mul(i, w)
+            self._step_length(w, el, w.inv_images[i])
+            table[w] = el
+            table[el] = w
         return el
 
     def right_mul(self, w, i):
         """w s_i, with the new length propagated when known."""
-        acol = self._acols[i]
-        images = w.images
-        base = images[i]
-        new_images = tuple(
-            images[j] if not acol[j] else
-            tuple(x - acol[j] * y for x, y in zip(images[j], base))
-            for j in range(self.rank))
-        new_inv = []
-        for col in w.inv_images:
-            c = _dot(acol, col)
-            if c:
-                col = list(col)
-                col[i] -= c
-                col = tuple(col)
-            new_inv.append(col)
-        el = self._make(new_images, tuple(new_inv))
+        el = super().right_mul(w, i)
+        self._step_length(w, el, w.images[i])
+        return el
+
+    def _step_length(self, w, el, root):
+        # el is w times s_i on one side; it is shorter exactly when root,
+        # w^{-1}(alpha_i) for s_i w or w(alpha_i) for w s_i, is negative
         lw = self._length.get(w)
         if lw is not None:
             self._length.setdefault(
-                el, lw - 1 if _vec_is_negative(images[i]) else lw + 1)
-        return el
+                el, lw - 1 if _vec_is_negative(root) else lw + 1)
+
+    @staticmethod
+    def _reflect(rdata, images, inv_images):
+        """Image tuples (of t w, of (t w)^{-1}) for w given by its tuples."""
+        apply = rdata.apply
+        new_images = tuple([apply(col) for col in images])
+        gamma = _combine(inv_images, rdata.coords)  # w^{-1} of the root
+        new_inv = tuple([
+            col if not c else tuple([x - c * y for x, y in zip(col, gamma)])
+            for col, c in zip(inv_images, rdata.coefs)])
+        return new_images, new_inv
 
     def reflect_mul_left(self, rdata, w):
         """t w for the reflection t described by rdata."""
-        new_images = tuple(rdata.apply(col) for col in w.images)
-        winv_gamma = self.act_inv(w, rdata.coords)
-        inv = w.inv_images
-        coefs = rdata.coefs
-        new_inv = tuple(
-            inv[j] if not coefs[j] else
-            tuple(x - coefs[j] * y for x, y in zip(inv[j], winv_gamma))
-            for j in range(self.rank))
-        return self._make(new_images, new_inv)
+        return self._make(*self._reflect(rdata, w.images, w.inv_images))
 
     def reflect_mul_right(self, w, rdata):
-        """w t for the reflection t described by rdata."""
-        w_gamma = self.act(w, rdata.coords)
-        images = w.images
-        coefs = rdata.coefs
-        new_images = tuple(
-            images[j] if not coefs[j] else
-            tuple(x - coefs[j] * y for x, y in zip(images[j], w_gamma))
-            for j in range(self.rank))
-        new_inv = tuple(rdata.apply(col) for col in w.inv_images)
-        return self._make(new_images, tuple(new_inv))
+        """w t = (t w^{-1})^{-1} for the reflection t described by rdata."""
+        new_inv, new_images = self._reflect(rdata, w.inv_images, w.images)
+        return self._make(new_images, new_inv)
 
     # -- roots and reflections
 
     def _generate_roots(self):
         n = self.rank
+        A = self.datum.matrix
+        acols = tuple(tuple(A[j][i] for j in range(n)) for i in range(n))
         current = set(self.simple_root_vecs)
         frontier = list(current)
         while frontier:
             nxt = []
             for v in frontier:
                 for i in range(n):
-                    c = _dot(self._acols[i], v)
+                    c = _dot(acols[i], v)
                     if not c:
                         continue
                     u = list(v)
@@ -542,9 +504,10 @@ class CoxeterSystem(CoxeterContext):
         self.reflection_root_index = {}
         for k, el in enumerate(elements):
             self.reflection_root_index.setdefault(el, k)
+        self._simple_rdata = tuple(
+            self._refl_data[self._pos_index[u]] for u in self.simple_root_vecs)
         self.simple_reflections = tuple(
-            self.reflections[self._pos_index[u]]
-            for u in self.simple_root_vecs)
+            rd.element for rd in self._simple_rdata)
 
     def reflection_data_for(self, coords):
         """ReflectionData for the root with the given coordinates."""

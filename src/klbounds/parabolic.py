@@ -96,14 +96,6 @@ class ParabolicSubgroup(CoxeterContext):
         return (f"ParabolicSubgroup({self.ambient.datum.type_name()}, "
                 f"{describe_subgroup(self)!r})")
 
-    # faster generator multiplications through reflection data
-
-    def left_mul(self, i, w):
-        return self.ambient.reflect_mul_left(self._simple_rdata[i], w)
-
-    def right_mul(self, w, i):
-        return self.ambient.reflect_mul_right(w, self._simple_rdata[i])
-
     def contains(self, w):
         """Membership in W', via the minimal element of the coset W'w."""
         return coset_minimum(self, w) == self.identity

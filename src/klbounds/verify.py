@@ -35,9 +35,9 @@ import json
 import random
 import time
 
-from .bounds import (brenti_simion, coefficientwise_bound,
-                     conjugate_is_standard, main_bound, monotonicity_bound,
-                     parabolic_equality)
+from .bounds import (brenti_simion, coefficientwise_bound, main_bound,
+                     monotonicity_bound, parabolic_equality,
+                     standardness_holds)
 from .cartan import weyl_group_order
 from .coxeter import get_system
 from .errors import EnumerationCapError, ParseError
@@ -190,11 +190,6 @@ def _subgroup_specs(system, suite, parabolic):
     return [describe_subgroup(s) for s in subs]
 
 
-def _eligible_base(sub, x):
-    """Standardness hypothesis for the degreewise and equality theorems."""
-    return sub.is_standard or conjugate_is_standard(sub, x)
-
-
 # -- suite units
 
 def build_units(suite, system, parabolic=None, slow=False, cap=None):
@@ -280,7 +275,7 @@ def _unit_coefficientwise(system, arg):
     els = _lex_elements(system)
     out = []
     for x in els:
-        if not _eligible_base(sub, x):
+        if not standardness_holds(sub, x):
             continue
         xs = _fmt(system, x)
         for w in els:
@@ -304,7 +299,7 @@ def _unit_parabolic_equality(system, arg):
     fam, rank = system.datum.family, system.datum.rank
     out = []
     for x in _lex_elements(system):
-        if not _eligible_base(sub, x):
+        if not standardness_holds(sub, x):
             continue
         xs = _fmt(system, x)
         coset = _lex_sorted(system,

@@ -80,8 +80,7 @@ def test_phi_fixes_subgroup_element(capsys):
 
 
 def test_verify_text_output(capsys):
-    code, out, _ = run(capsys, "verify", "main-theorem", "--type", "A2",
-                       "--all")
+    code, out, _ = run(capsys, "verify", "main-theorem", "--type", "A2")
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[-1].startswith("checked=180 failed=0 elapsed=")
@@ -134,11 +133,18 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert "FAILS" in out
 
 
-def test_verify_all_conflicts_with_parabolic(capsys):
-    code, _, err = run(capsys, "verify", "main-theorem", "--type", "A2",
-                       "--all", "--parabolic", "standard:s1")
-    assert code == 2
-    assert "exclude" in err
+@pytest.mark.parametrize("argv", [
+    ("verify", "main-theorem", "--type", "A2", "--all"),
+    ("phi", "--type", "A3", "--w", "2134", "--parabolic", "full", "--slow"),
+    ("phi", "--type", "A3", "--w", "2134", "--parabolic", "full",
+     "--cap", "5"),
+], ids=["verify-all", "phi-slow", "phi-cap"])
+def test_removed_options_are_usage_errors(argv):
+    # verify sweeps every subgroup by default, and phi never enumerates,
+    # so these options would change nothing; they are refused, not ignored
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 2
 
 
 def test_unknown_suite_is_usage_error(capsys):

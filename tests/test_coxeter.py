@@ -78,14 +78,29 @@ def test_canonical_words_are_reduced(name):
 def test_left_mul_table_matches_root_images(name):
     # a system of its own, so its product tables start empty
     system = build_system(parse_type(name))
+    mul = system.multiply
     gens = system.simple_reflections
     for w in system.elements():
         for i in range(system.num_simples):
             u = system.left_mul(i, w)
-            assert u == system.multiply(gens[i], w)
+            assert u == mul(gens[i], w)
             assert system.left_mul(i, u) is w
             step = -1 if system.left_descent(w, i) else 1
             assert system.length(u) == system.length(w) + step
+            assert system.right_mul(w, i) == mul(w, gens[i])
+        for rd in system._refl_data:
+            t = rd.element
+            assert system.reflect_mul_left(rd, w) == mul(t, w)
+            assert system.reflect_mul_right(w, rd) == mul(w, t)
+
+
+def test_parabolic_generator_products_match_multiply(a3):
+    sub = parse_subgroup_spec(a3, "refl:1-3,2-4")
+    assert not sub.is_standard
+    for w in a3.elements():
+        for i, s in enumerate(sub.simple_reflections):
+            assert sub.left_mul(i, w) == a3.multiply(s, w)
+            assert sub.right_mul(w, i) == a3.multiply(w, s)
 
 
 def test_left_mul_table_fill_order_is_invisible():
