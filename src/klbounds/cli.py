@@ -109,6 +109,8 @@ def _build_parser():
 
 def _system_for(args):
     if args.cap is not None:
+        if args.cap < 1:
+            raise ParseError(f"cap must be at least 1, got {args.cap}")
         datum = parse_type(args.type, args.rank)
         return build_system(CartanDatum.standard(datum.family, datum.rank),
                             enum_cap=args.cap)

@@ -12,9 +12,14 @@ where the sum runs over x <= z <= v with s z < z, and mu(z, v) is the
 coefficient of q^{(l(v)-l(z)-1)/2} in P_{z,v}.  The x to visit need no
 search: by the lifting property [e, w] = [e, v] union s[e, v], so the
 context lifts them from the keys of the column of v, longest first, and
-x with s x > x then finds P_{sx,w} already computed.  Because the context
-may be a parabolic subgroup, the same engine computes the subgroup
-polynomials P' using the subgroup's own length and Bruhat order.
+x with s x > x then finds P_{sx,w} already computed.  Each term P_{x,z}
+of the sum is read from the column of z, where a missing x means x is
+not below z, so building a column never tests the Bruhat order.  The
+columns hold millions of entries but only a few distinct polynomials,
+so each engine keeps a pool and every column entry is the pool's one
+copy of its polynomial.  Because the context may be a parabolic
+subgroup, the same engine computes the subgroup polynomials P' using
+the subgroup's own length and Bruhat order.
 
 R-polynomials and the inversion identity
 
@@ -37,6 +42,7 @@ class KLEngine:
         self.ctx = ctx
         self.descent_rule = descent_rule
         self._columns = {}
+        self._pool = {ZERO: ZERO, ONE: ONE}
         self._rpolys = {}
 
     def _choose_descent(self, w):
@@ -70,6 +76,7 @@ class KLEngine:
             if m:
                 mulist.append((z, m, lv - diff))
 
+        pool = self._pool
         col = {}
         for x in ctx.lower_interval(i, colv):
             lx = ctx.length(x)
@@ -84,14 +91,15 @@ class KLEngine:
                     continue
                 if z is x or z == x:
                     p = p - IntPolynomial((m,)).shifted((lw - lz) // 2)
-                elif lz > lx and ctx.bruhat_leq(x, z):
-                    p = p - (m * self.polynomial(x, z)).shifted(
-                        (lw - lz) // 2)
+                elif lz > lx:
+                    pxz = self.column(z).get(x)
+                    if pxz is not None:
+                        p = p - (m * pxz).shifted((lw - lz) // 2)
             if __debug__ and x != w:
                 assert p[0] == 1 and all(c >= 0 for c in p.coeffs), \
                     "KL invariant violated"
                 assert 2 * p.degree <= lw - lx - 1, "KL degree bound violated"
-            col[x] = p
+            col[x] = pool.setdefault(p, p)
         self._columns[w] = col
         return col
 

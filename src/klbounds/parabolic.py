@@ -404,15 +404,25 @@ def _root_descriptor(system, coords):
     raise ParseError("root has no classical descriptor")
 
 
+def _spec_int(text, what):
+    """int(text) for a subgroup spec, a ParseError when it is not one."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"bad {what} {text.strip()!r} in subgroup spec") \
+            from None
+
+
 def _parse_root_descriptor(system, text):
     text = text.strip()
-    if "+" in text:
-        a, b = text.split("+")
-        return system.classical_root(int(a), int(b), "sum")
-    if "-" in text:
-        a, b = text.split("-")
-        return system.classical_root(int(a), int(b), "diff")
-    return system.classical_root(int(text), kind="sign")
+    for sep, kind in (("+", "sum"), ("-", "diff")):
+        if sep in text:
+            parts = text.split(sep)
+            if len(parts) != 2:
+                raise ParseError(f"bad root descriptor {text!r}")
+            a, b = (_spec_int(p, "position") for p in parts)
+            return system.classical_root(a, b, kind)
+    return system.classical_root(_spec_int(text, "position"), kind="sign")
 
 
 def describe_subgroup(sub):
@@ -467,7 +477,13 @@ def parse_subgroup_spec(system, spec):
     if head == "rootidx":
         if not body:
             return parabolic_from_reflections(system, [])
-        gens = [system.reflections[int(tok)] for tok in body.split(",")]
+        count = len(system.reflections)
+        gens = []
+        for tok in body.split(","):
+            k = _spec_int(tok, "root index")
+            if not 0 <= k < count:
+                raise ParseError(f"root index {k} outside 0..{count - 1}")
+            gens.append(system.reflections[k])
         return parabolic_from_reflections(system, gens)
     if head == "standard":
         return standard_parabolic(system, _parse_gen_list(system, body))
@@ -476,14 +492,10 @@ def parse_subgroup_spec(system, spec):
         x = system.parse_element(xtext.strip())
         return parabolic_conjugate(system, x,
                                    _parse_gen_list(system, gtext))
-    if head == "positions":
-        blocks = [tok.split(",") for tok in body.split("/")]
-        blocks = [[int(p) for p in blk if p.strip()] for blk in blocks]
-        return position_subgroup(system, blocks, signed=False)
-    if head == "signed":
-        blocks = [tok.split(",") for tok in body.split("/")]
-        blocks = [[int(p) for p in blk if p.strip()] for blk in blocks]
-        return position_subgroup(system, blocks, signed=True)
+    if head in ("positions", "signed"):
+        blocks = [[_spec_int(p, "position") for p in tok.split(",")
+                   if p.strip()] for tok in body.split("/")]
+        return position_subgroup(system, blocks, signed=head == "signed")
     raise ParseError(f"unknown subgroup spec kind {head!r}")
 
 
@@ -496,7 +508,7 @@ def _parse_gen_list(system, body):
         tok = tok.strip().lower()
         if tok.startswith("s"):
             tok = tok[1:]
-        k = int(tok)
+        k = _spec_int(tok, "generator")
         if not 1 <= k <= system.rank:
             raise ParseError(f"generator s{k} outside 1..{system.rank}")
         out.append(k - 1)

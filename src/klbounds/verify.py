@@ -518,10 +518,13 @@ def run_suite(suite, type_text, rank=None, parabolic=None, slow=False,
     """Run one named suite and return its SuiteResult.
 
     With jobs > 1 the units go to a pool of that many worker processes.
-    A cap below the group order raises EnumerationCapError.
+    A cap below the group order raises EnumerationCapError; jobs or a cap
+    below 1 raise ParseError.
     """
     if jobs < 1:
         raise ParseError(f"jobs must be at least 1, got {jobs}")
+    if cap is not None and cap < 1:
+        raise ParseError(f"cap must be at least 1, got {cap}")
     system = get_system(type_text, rank)
     units = build_units(suite, system, parabolic=parabolic, slow=slow,
                         cap=cap)

@@ -3,7 +3,9 @@
 Each test prints a single CRITERION line (visible with -s, and mirrored
 by the PASSED/FAILED status under -v) and enforces the stated runtime
 budget.  Criteria 2 and 4 compute deep Kazhdan-Lusztig polynomials in
-S7 and S8 from scratch, under budgets of 600 s and 1800 s.
+S7 and S8 from scratch, under budgets of 600 s and 1800 s.  Criterion 8
+also sweeps S7 under --slow for its 1552 smooth permutations, within
+120 s.
 """
 
 import time
@@ -140,8 +142,19 @@ def test_criterion_08_smoothness_equivalence():
         assert sum(1 for r in result.records if r.theorem == "SMOOTH"
                    and r.lhs == "1") == smooth[name], name
     elapsed = time.perf_counter() - start
-    ok = failed == 0 and checked == 872 and elapsed < 900
-    report(8, ok, f"checked={checked} failed={failed} ({elapsed:.1f}s)")
+
+    # S7 under --slow: 5040 elements, of which 1552 are smooth
+    a6_start = time.perf_counter()
+    a6 = run_suite("smoothness", "A6", slow=True)
+    a6_elapsed = time.perf_counter() - a6_start
+    a6_smooth = sum(1 for r in a6.records if r.theorem == "SMOOTH"
+                    and r.lhs == "1")
+    ok = (failed == 0 and checked == 872 and elapsed < 900
+          and a6.failed == 0 and a6.checked == 5040 and a6_smooth == 1552
+          and a6_elapsed < 120)
+    report(8, ok, f"checked={checked} failed={failed} ({elapsed:.1f}s); "
+                  f"A6 smooth={a6_smooth} failed={a6.failed} "
+                  f"({a6_elapsed:.1f}s)")
 
 
 def test_criterion_09_kl_engine_oracles():

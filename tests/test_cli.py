@@ -202,6 +202,36 @@ def test_kl_honours_cap(capsys):
     assert out == "1 ; P(1)=1\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("phi", "--type", "A3", "--w", "2143", "--parabolic", spec)
+    for spec in ("rootidx:99", "rootidx:-1", "rootidx:a", "positions:x",
+                 "standard:sx", "refl:x-2", "refl:1-2-3")
+] + [
+    ("phi", "--type", "B3", "--w", "1,2,3", "--parabolic", spec)
+    for spec in ("signed:x", "refl:1+2+3")
+] + [
+    ("verify", "main-theorem", "--type", "A2", "--parabolic", "rootidx:7"),
+], ids=lambda argv: argv[0] + "-" + argv[-1])
+def test_malformed_subgroup_spec_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("kl", "--type", "A3", "--x", "1234", "--w", "4321", "--cap", "-5"),
+    ("kl", "--type", "A3", "--x", "1234", "--w", "4321", "--cap", "0"),
+    ("verify", "smoothness", "--type", "A3", "--cap", "0"),
+], ids=["kl-neg", "kl-zero", "verify-zero"])
+def test_cap_below_one_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "cap must be at least 1" in err
+
+
 def test_exceptional_type_named_once(capsys):
     code, _, err = run(capsys, "kl", "--type", "E8", "--x", "s1", "--w", "s2")
     assert code == 3

@@ -3,9 +3,10 @@ import random
 import pytest
 
 from conftest import oracle_kl_table, subword_interval
-from klbounds import (get_system, kl_polynomial, kl_table, mu,
-                      r_polynomial, verify_inversion_identity)
-from klbounds.kl import get_engine
+from klbounds import (build_system, get_system, kl_polynomial, kl_table,
+                      mu, r_polynomial, verify_inversion_identity)
+from klbounds.cartan import parse_type
+from klbounds.kl import KLEngine, get_engine
 from klbounds.polynomials import ONE, ZERO, IntPolynomial
 
 
@@ -62,6 +63,27 @@ def test_descent_rule_independence_exhaustive(a3):
     for w in a3.elements():
         for x in a3.elements():
             assert low.polynomial(x, w) == high.polynomial(x, w)
+
+
+@pytest.mark.parametrize("rule", ["lowest", "highest"])
+@pytest.mark.parametrize("name", ["A4", "B3"])
+def test_columns_share_one_pool_without_bruhat_tests(monkeypatch, name,
+                                                     rule):
+    system = build_system(parse_type(name))
+    calls = []
+    bruhat_leq = type(system).bruhat_leq
+
+    def counted(self, x, w):
+        calls.append((x, w))
+        return bruhat_leq(self, x, w)
+
+    monkeypatch.setattr(type(system), "bruhat_leq", counted)
+    engine = KLEngine(system, rule)
+    values = [p for w in system.elements()
+              for p in engine.column(w).values()]
+    assert calls == []
+    assert all(engine._pool[p] is p for p in values)
+    assert len({id(p) for p in values}) == len(set(values))
 
 
 def test_inverse_symmetry(b2):

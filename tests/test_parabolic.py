@@ -46,8 +46,8 @@ def test_spec_constructions_agree(a3):
 
 def test_bad_specs_rejected(a3, b3):
     for spec in ("nonsense", "positions:0,2", "positions:1,9",
-                 "standard:s9", "rootidx:99"):
-        with pytest.raises((ParseError, IndexError)):
+                 "standard:s9", "rootidx:99", "rootidx:-1"):
+        with pytest.raises(ParseError):
             parse_subgroup_spec(a3, spec)
     with pytest.raises(ParseError):
         parse_subgroup_spec(a3, "unsigned")  # family A has no signs

@@ -161,6 +161,11 @@ def test_cap_above_system_cap_fails_before_enumerating(monkeypatch):
                            cap=5_000_000)
 
 
+def test_cap_below_one_is_rejected():
+    with pytest.raises(ParseError, match="cap must be at least 1"):
+        run_suite("smoothness", "A2", cap=0)
+
+
 def test_parabolic_and_suite_mismatch():
     with pytest.raises(ParseError):
         run_suite("smoothness", "A3", parabolic="standard:s1")
