@@ -16,6 +16,15 @@ P_{x,w} = P'_{phi(x),phi(w)}.
 Specializations at x = identity give the monotonicity of P_{1,w}(1)
 under the pattern map, and the block-diagonal case in the symmetric
 group gives the product factorization credited to Brenti and Simion.
+
+Two ways of finding M serve the bounds.  main_bound scans the coset for
+each pair: family A in one-line window arithmetic, the other families
+through the root-system Bruhat order.  The coefficientwise bound and
+the coset equality work per x instead (coefficientwise_bounds,
+parabolic_equalities): the hypothesis, phi(x) and the coset W'x with
+its pattern images u phi(x) are computed once, and for each w both
+Bruhat orders are read from built KL columns, whose keys are exactly
+the elements below their w.
 """
 
 from dataclasses import dataclass
@@ -24,10 +33,10 @@ from typing import NamedTuple
 
 from .coxeter import _prefix_dominated, get_system
 from .errors import HypothesisError
-from .kl import kl_polynomial
+from .kl import get_engine, kl_polynomial
 from .parabolic import coset_minimum, describe_subgroup, phi_root
 from .patterns import _coerce_perm, flatten
-from .polynomials import ONE, IntPolynomial
+from .polynomials import ONE, ZERO, IntPolynomial
 
 
 @dataclass(frozen=True)
@@ -298,35 +307,78 @@ def _require_standardness(sub, x, what):
             "element, to be standard")
 
 
-def coefficientwise_bound(sub, x, w):
-    """Degreewise form of the bound under the standardness hypothesis.
+def _coset_table(sub, x, phix):
+    """The coset W'x as pairs (u x, phi(u x)), phi(u x) = u phi(x)."""
+    amb = sub.ambient
+    return [(amb.multiply(u, x), amb.multiply(u, phix))
+            for u in sub.elements()]
+
+
+def coefficientwise_bounds(sub, x, ws):
+    """Degreewise form of the bound for one x, one report per w in ws.
 
     Requires W' or x^{-1}W'x standard; the maximal set is then a single
     element y and every coefficient of P_{y,w} * P'_{phi(x),phi(y)} is
     compared against the matching coefficient of P_{x,w}.
+
+    The hypothesis, phi(x) and the coset W'x depend only on x, so they
+    are worked out once.  For each w the members of [1, w] intersect W'x
+    are the coset elements that key the KL column of w, and a pattern
+    image fy lies below fz exactly when it keys the subgroup's column of
+    fz, so the maxima scan tests neither Bruhat order directly.
     """
     _require_standardness(sub, x, "the coefficientwise bound")
-    amb = sub.ambient
-    maxima = _maxima_with_images(sub, x, w)
     desc = describe_subgroup(sub)
-    if not maxima:
-        return CoefficientwiseReport(x=x, w=w, subgroup=desc, y=None,
-                                     degrees=(), holds=True, empty=True)
-    assert len(maxima) == 1, "standard hypothesis should force |M| = 1"
-    y, fy = maxima[0]
-    lhs_poly = kl_polynomial(amb, x, w)
-    prod = kl_polynomial(amb, y, w) * kl_polynomial(
-        sub, phi_root(sub, x), fy)
-    top = max(lhs_poly.degree, prod.degree)
-    rows = []
-    ok = True
-    for k in range(top + 1):
-        lk, rk = lhs_poly[k], prod[k]
-        good = lk >= rk
-        ok = ok and good
-        rows.append((k, lk, rk, good))
-    return CoefficientwiseReport(x=x, w=w, subgroup=desc, y=y,
-                                 degrees=tuple(rows), holds=ok, empty=False)
+    phix = phi_root(sub, x)
+    # decreasing subgroup length: an element is maximal iff no kept
+    # maximum dominates its pattern, as in _maxima_with_images
+    table = _coset_table(sub, x, phix)
+    table.sort(key=lambda pair: -sub.length(pair[1]))
+    ambient_column = get_engine(sub.ambient).column
+    sub_column = get_engine(sub).column
+    for w in ws:
+        colw = ambient_column(w)
+        # each maximum is kept with the subgroup column of its pattern
+        maxima = []
+        for y, fy in table:
+            if y not in colw:
+                continue
+            for _, colz in maxima:
+                if fy in colz:
+                    break
+            else:
+                maxima.append((y, sub_column(fy)))
+        if not maxima:
+            yield CoefficientwiseReport(x=x, w=w, subgroup=desc, y=None,
+                                        degrees=(), holds=True, empty=True)
+            continue
+        assert len(maxima) == 1, "standard hypothesis should force |M| = 1"
+        y, coly = maxima[0]
+        lhs_poly = colw.get(x, ZERO)
+        prod = colw[y] * coly.get(phix, ZERO)
+        top = max(lhs_poly.degree, prod.degree)
+        rows = []
+        ok = True
+        for k in range(top + 1):
+            lk, rk = lhs_poly[k], prod[k]
+            good = lk >= rk
+            ok = ok and good
+            rows.append((k, lk, rk, good))
+        yield CoefficientwiseReport(x=x, w=w, subgroup=desc, y=y,
+                                    degrees=tuple(rows), holds=ok,
+                                    empty=False)
+
+
+def coefficientwise_bound(sub, x, w):
+    """The degreewise bound for one pair; see coefficientwise_bounds."""
+    return next(coefficientwise_bounds(sub, x, (w,)))
+
+
+def _coset_equality(sub, x, phix, w, fw):
+    """Both sides of P_{x,w} = P'_{phi(x),phi(w)}, given phi(w) = fw."""
+    lhs = kl_polynomial(sub.ambient, x, w)
+    rhs = kl_polynomial(sub, phix, fw)
+    return EqualityResult(lhs=lhs, rhs=rhs, holds=lhs == rhs)
 
 
 def parabolic_equality(sub, x, w):
@@ -341,10 +393,20 @@ def parabolic_equality(sub, x, w):
     if not sub.contains(u):
         raise HypothesisError("the coset equality needs w in W'x")
     phix = phi_root(sub, x)
-    lhs = kl_polynomial(amb, x, w)
-    # phi(w) = phi(u x) = u phi(x) by equivariance, as in _coset_below
-    rhs = kl_polynomial(sub, phix, amb.multiply(u, phix))
-    return EqualityResult(lhs=lhs, rhs=rhs, holds=lhs == rhs)
+    # phi(w) = phi(u x) = u phi(x) by equivariance
+    return _coset_equality(sub, x, phix, w, amb.multiply(u, phix))
+
+
+def parabolic_equalities(sub, x):
+    """Pairs (w, parabolic_equality(sub, x, w)) for every w in W'x.
+
+    The hypothesis and phi(x) are worked out once; w runs over the coset
+    built from W', so membership needs no check.
+    """
+    _require_standardness(sub, x, "the coset equality")
+    phix = phi_root(sub, x)
+    for w, fw in _coset_table(sub, x, phix):
+        yield w, _coset_equality(sub, x, phix, w, fw)
 
 
 def monotonicity_bound(sub, w):

@@ -170,9 +170,14 @@ class CartanDatum:
 
     def type_name(self):
         """'A3', 'B4'; the exceptional families already name their rank."""
-        if self.family in EXCEPTIONAL_RANKS:
-            return self.family
-        return f"{self.family}{self.rank}"
+        return type_name(self.family, self.rank)
+
+
+def type_name(family, rank):
+    """'A3', 'B4'; the exceptional families already name their rank."""
+    if family in EXCEPTIONAL_RANKS:
+        return family
+    return f"{family}{rank}"
 
 
 def parse_type(text, rank=None):
@@ -180,6 +185,15 @@ def parse_type(text, rank=None):
 
     The rank may be embedded in the string or passed separately; when both
     are given they must agree.
+    """
+    return CartanDatum.standard(*parse_type_name(text, rank))
+
+
+def parse_type_name(text, rank=None):
+    """(family, rank) of a type string, validated as parse_type does.
+
+    Builds no Cartan matrix, so callers can weigh the closed-form order
+    and root count of a type before anything of rank size exists.
     """
     text = text.strip()
     head = ""
@@ -212,4 +226,5 @@ def parse_type(text, rank=None):
     use = embedded if embedded is not None else rank
     if use is None:
         raise InvalidCartanError(f"type {text!r} needs a rank")
-    return CartanDatum.standard(family, use)
+    _check_family_rank(family, use)
+    return family, use

@@ -12,12 +12,16 @@ universal fallback; the exceptional families take words only.  Types are
 compact (``B3``) or split (``--type B --rank 3``).
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 resource cap (group too large without --slow, or enumeration cap hit).
+3 resource cap (type too large to build, group too large without --slow,
+or enumeration cap hit).
 
-Large groups are gated: computations that enumerate elements or Bruhat
-intervals refuse to start when the group order exceeds 1000 unless
---slow is passed.  The pattern map itself never enumerates the ambient
-group, so ``phi`` runs ungated and takes neither --slow nor --cap.  For
+Every command refuses, before building anything, a type whose positive
+roots times rank exceed the shared enumeration cap of 1,000,000 (A125
+is the largest type A that fits).  Large groups are gated: computations
+that enumerate elements or Bruhat intervals refuse to start when the
+group order exceeds 1000 unless --slow is passed.  The pattern map
+itself never enumerates the ambient group, so ``phi`` runs ungated
+apart from the root count and takes neither --slow nor --cap.  For
 ``kl`` and ``verify``, --cap N refuses any enumeration beyond N elements;
 ``verify`` enumerates the whole group, so it refuses at once when the
 group order exceeds N or the shared system's own cap, whichever is lower.
@@ -35,9 +39,8 @@ import csv
 import os
 import sys
 
-from .cartan import weyl_group_order
-from .coxeter import build_system, get_system
-from .cartan import CartanDatum, parse_type
+from .cartan import CartanDatum, type_name, weyl_group_order
+from .coxeter import build_system, get_system, system_type
 from .errors import EnumerationCapError, KlboundsError, ParseError
 from .kl import kl_polynomial
 from .parabolic import (coset_minimum, describe_subgroup, flatten_element,
@@ -108,21 +111,19 @@ def _build_parser():
 # -- shared plumbing
 
 def _system_for(args):
-    if args.cap is not None:
-        if args.cap < 1:
-            raise ParseError(f"cap must be at least 1, got {args.cap}")
-        datum = parse_type(args.type, args.rank)
-        return build_system(CartanDatum.standard(datum.family, datum.rank),
-                            enum_cap=args.cap)
-    return get_system(args.type, args.rank)
-
-
-def _gate_slow(system, slow):
-    order = weyl_group_order(system.datum.family, system.datum.rank)
-    if order > SLOW_ORDER_LIMIT and not slow:
+    """The system for kl, built only after its type passes the gates."""
+    if args.cap is not None and args.cap < 1:
+        raise ParseError(f"cap must be at least 1, got {args.cap}")
+    family, rank = system_type(args.type, args.rank)
+    order = weyl_group_order(family, rank)
+    if order > SLOW_ORDER_LIMIT and not args.slow:
         raise EnumerationCapError(
-            f"{system.datum.type_name()} has {order} elements; "
+            f"{type_name(family, rank)} has {order} elements; "
             "pass --slow to compute anyway", SLOW_ORDER_LIMIT)
+    if args.cap is not None:
+        return build_system(CartanDatum.standard(family, rank),
+                            enum_cap=args.cap)
+    return get_system(family, rank)
 
 
 def _emit_csv(header, rows):
@@ -135,7 +136,6 @@ def _emit_csv(header, rows):
 
 def cmd_kl(args):
     system = _system_for(args)
-    _gate_slow(system, args.slow)
     x = system.parse_element(args.x)
     w = system.parse_element(args.w)
     poly = kl_polynomial(system, x, w)

@@ -35,7 +35,8 @@ from bisect import insort
 from functools import lru_cache
 from operator import mul
 
-from .cartan import CartanDatum, parse_type, positive_root_count
+from .cartan import (CartanDatum, parse_type_name, positive_root_count,
+                     type_name)
 from .errors import EnumerationCapError, InvalidCartanError, ParseError
 from .exactlin import invert_matrix
 
@@ -833,10 +834,27 @@ def _cached_system(family, rank):
     return CoxeterSystem(CartanDatum.standard(family, rank))
 
 
+def system_type(type_text, rank=None):
+    """(family, rank) of a type string, refusing types too big to build.
+
+    A system holds every positive root as a vector of rank coordinates,
+    so a type whose positive roots times rank exceed the shared
+    enumeration cap is refused here, in closed form, before its Cartan
+    matrix or any root is built.
+    """
+    family, rank = parse_type_name(type_text, rank)
+    roots = positive_root_count(family, rank)
+    if roots * rank > DEFAULT_ENUM_CAP:
+        raise EnumerationCapError(
+            f"{type_name(family, rank)} has {roots} positive roots of "
+            f"{rank} coordinates each, more than the shared enumeration "
+            f"cap {DEFAULT_ENUM_CAP}", DEFAULT_ENUM_CAP)
+    return family, rank
+
+
 def get_system(type_text, rank=None):
     """Shared, cached system for a type string like 'A3' or ('B', 3)."""
-    datum = parse_type(type_text, rank)
-    return _cached_system(datum.family, datum.rank)
+    return _cached_system(*system_type(type_text, rank))
 
 
 def parse_element(system, text):

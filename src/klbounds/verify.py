@@ -35,11 +35,11 @@ import json
 import random
 import time
 
-from .bounds import (brenti_simion, coefficientwise_bound, main_bound,
-                     monotonicity_bound, parabolic_equality,
+from .bounds import (brenti_simion, coefficientwise_bounds, main_bound,
+                     monotonicity_bound, parabolic_equalities,
                      standardness_holds)
 from .cartan import weyl_group_order
-from .coxeter import get_system
+from .coxeter import DEFAULT_ENUM_CAP, get_system, system_type
 from .errors import EnumerationCapError, ParseError
 from .kl import get_engine
 from .parabolic import (all_parabolic_subgroups, describe_subgroup,
@@ -192,18 +192,16 @@ def _subgroup_specs(system, suite, parabolic):
 
 # -- suite units
 
-def build_units(suite, system, parabolic=None, slow=False, cap=None):
-    """The deterministic unit list for one suite run.
+def _check_request(suite, fam, rank, slow, cap, limit):
+    """Refuse a suite run from its type alone; return the group order.
 
     Every suite enumerates the whole group, so a group order above the
-    enumeration cap (``cap`` or the system's own, whichever is lower) is
-    refused here, before any unit runs or any subgroup is listed.
+    enumeration cap (``cap`` or ``limit``, the cap of the system the
+    units run on, whichever is lower) is refused.
     """
     if suite not in SUITE_NAMES:
         raise ParseError(f"unknown suite {suite!r}; "
                          f"choose one of {', '.join(SUITE_NAMES)}")
-    fam = system.datum.family
-    rank = system.datum.rank
     if suite in _A_ONLY and fam != "A":
         raise ParseError(f"suite {suite} is about symmetric groups; "
                          f"it needs family A, not {fam}")
@@ -212,14 +210,25 @@ def build_units(suite, system, parabolic=None, slow=False, cap=None):
         raise EnumerationCapError(
             f"group order {order} exceeds {SLOW_ORDER_LIMIT}; "
             "pass slow=True (--slow) to run anyway", SLOW_ORDER_LIMIT)
-    # the units run on the shared system, so its own cap bounds any --cap
-    limit = system.enum_cap
     name = "the shared system's enumeration cap"
     if cap is not None and cap < limit:
         limit, name = cap, "cap"
     if order > limit:
         raise EnumerationCapError(
             f"group order {order} exceeds {name} {limit}", limit)
+    return order
+
+
+def build_units(suite, system, parabolic=None, slow=False, cap=None):
+    """The deterministic unit list for one suite run.
+
+    Runs the checks of ``_check_request`` first, so an unknown suite, a
+    family the suite does not cover or a group order over the limits is
+    refused before any subgroup is listed.
+    """
+    fam = system.datum.family
+    rank = system.datum.rank
+    order = _check_request(suite, fam, rank, slow, cap, system.enum_cap)
 
     def unit(kind, arg):
         return Unit(suite, fam, rank, kind, arg)
@@ -278,8 +287,7 @@ def _unit_coefficientwise(system, arg):
         if not standardness_holds(sub, x):
             continue
         xs = _fmt(system, x)
-        for w in els:
-            rep = coefficientwise_bound(sub, x, w)
+        for rep in coefficientwise_bounds(sub, x, els):
             lhs = IntPolynomial(tuple(r[1] for r in rep.degrees))
             rhs = IntPolynomial(tuple(r[2] for r in rep.degrees))
             detail = (
@@ -287,7 +295,8 @@ def _unit_coefficientwise(system, arg):
                 ("empty", rep.empty),
                 ("y", None if rep.y is None else _fmt(system, rep.y)),
             )
-            out.append(Verdict("COEFF", fam, rank, desc, xs, _fmt(system, w),
+            out.append(Verdict("COEFF", fam, rank, desc, xs,
+                               _fmt(system, rep.w),
                                _poly_token(lhs), _poly_token(rhs),
                                rep.holds, detail))
     return out
@@ -302,10 +311,9 @@ def _unit_parabolic_equality(system, arg):
         if not standardness_holds(sub, x):
             continue
         xs = _fmt(system, x)
-        coset = _lex_sorted(system,
-                            (system.multiply(u, x) for u in sub.elements()))
-        for w in coset:
-            res = parabolic_equality(sub, x, w)
+        results = dict(parabolic_equalities(sub, x))
+        for w in _lex_sorted(system, results):
+            res = results[w]
             out.append(Verdict("PARABOLIC-EQ", fam, rank, desc, xs,
                                _fmt(system, w), _poly_token(res.lhs),
                                _poly_token(res.rhs), res.holds))
@@ -525,7 +533,10 @@ def run_suite(suite, type_text, rank=None, parabolic=None, slow=False,
         raise ParseError(f"jobs must be at least 1, got {jobs}")
     if cap is not None and cap < 1:
         raise ParseError(f"cap must be at least 1, got {cap}")
-    system = get_system(type_text, rank)
+    family, rank = system_type(type_text, rank)
+    # the units run on the shared system, so its own cap bounds any cap
+    _check_request(suite, family, rank, slow, cap, DEFAULT_ENUM_CAP)
+    system = get_system(family, rank)
     units = build_units(suite, system, parabolic=parabolic, slow=slow,
                         cap=cap)
     start = time.perf_counter()

@@ -1,14 +1,18 @@
+import random
+
 import pytest
 
 from klbounds import get_system, kl_polynomial
 from klbounds.bounds import (brenti_simion, coefficientwise_bound,
-                             conjugate_is_standard, main_bound,
-                             maximal_set, monotonicity_bound,
-                             parabolic_equality)
+                             coefficientwise_bounds, conjugate_is_standard,
+                             main_bound, maximal_set, monotonicity_bound,
+                             parabolic_equalities, parabolic_equality,
+                             standardness_holds)
 from klbounds.errors import HypothesisError
 from klbounds.parabolic import (all_parabolic_subgroups,
                                 parabolic_from_reflections,
-                                parse_subgroup_spec)
+                                parse_subgroup_spec, phi_root,
+                                standard_parabolic_subgroups)
 from klbounds.polynomials import ONE, IntPolynomial
 
 
@@ -100,6 +104,90 @@ def test_parabolic_equality_needs_same_coset(a3):
     w = a3.parse_element("1243")  # s3 x sits in a different coset
     with pytest.raises(HypothesisError):
         parabolic_equality(sub, x, w)
+
+
+def _per_pair_rows(sub, x, w, y):
+    """Degree rows of the bound from per-pair lookups and a fresh phi."""
+    amb = sub.ambient
+    lhs = kl_polynomial(amb, x, w)
+    prod = kl_polynomial(amb, y, w) * kl_polynomial(
+        sub, phi_root(sub, x), phi_root(sub, y))
+    top = max(lhs.degree, prod.degree)
+    return tuple((k, lhs[k], prod[k], lhs[k] >= prod[k])
+                 for k in range(top + 1))
+
+
+def _check_against_maximal_set(sub, x, w, rep):
+    assert rep.x == x and rep.w == w
+    maxima = maximal_set(sub, x, w)
+    if not maxima:
+        assert rep.empty and rep.y is None and rep.degrees == ()
+        return
+    assert maxima == (rep.y,)
+    assert not rep.empty
+    assert rep.degrees == _per_pair_rows(sub, x, w, rep.y)
+    assert rep.holds == all(row[3] for row in rep.degrees)
+
+
+@pytest.mark.parametrize("name,spec", [
+    ("A3", None), ("B3", None), ("A3", "refl:1-3,2-4"),
+], ids=["A3-standard", "B3-standard", "A3-refl"])
+def test_coefficientwise_bounds_match_maximal_set(name, spec):
+    system = get_system(name)
+    if spec is None:
+        subs = standard_parabolic_subgroups(system)
+    else:
+        subs = [parse_subgroup_spec(system, spec)]
+    els = system.elements()
+    eligible = 0
+    for sub in subs:
+        for x in els:
+            if not standardness_holds(sub, x):
+                continue
+            eligible += 1
+            reps = list(coefficientwise_bounds(sub, x, els))
+            assert [rep.w for rep in reps] == list(els)
+            for w, rep in zip(els, reps):
+                _check_against_maximal_set(sub, x, w, rep)
+    assert eligible > 0
+
+
+@pytest.mark.parametrize("name,samples", [("A4", 400), ("D4", 400)])
+def test_coefficientwise_bound_sampled_pairs(name, samples):
+    system = get_system(name)
+    if name == "A4":
+        subs = [parse_subgroup_spec(system, "full")]
+    else:
+        subs = standard_parabolic_subgroups(system)
+    els = system.elements()
+    rng = random.Random(f"{name}:coefficientwise")
+    for _ in range(samples):
+        sub = subs[rng.randrange(len(subs))]
+        x = els[rng.randrange(len(els))]
+        w = els[rng.randrange(len(els))]
+        _check_against_maximal_set(sub, x, w,
+                                   coefficientwise_bound(sub, x, w))
+
+
+@pytest.mark.parametrize("name", ["A3", "B3"])
+def test_parabolic_equalities_match_parabolic_equality(name):
+    system = get_system(name)
+    for sub in all_parabolic_subgroups(system):
+        subels = sub.elements()
+        for x in system.elements():
+            if not standardness_holds(sub, x):
+                with pytest.raises(HypothesisError):
+                    next(parabolic_equalities(sub, x))
+                continue
+            results = dict(parabolic_equalities(sub, x))
+            assert set(results) == {system.multiply(u, x) for u in subels}
+            assert len(results) == len(subels)
+            phix = phi_root(sub, x)
+            for w, res in results.items():
+                assert res == parabolic_equality(sub, x, w)
+                assert res.lhs == kl_polynomial(system, x, w)
+                assert res.rhs == kl_polynomial(sub, phix, phi_root(sub, w))
+                assert res.holds
 
 
 def test_monotonicity_exhaustive(a3):

@@ -2,9 +2,9 @@ import math
 
 import pytest
 
-from klbounds.cartan import (CartanDatum, parse_type, positive_root_count,
-                             root_length_squares, standard_cartan_matrix,
-                             weyl_group_order)
+from klbounds.cartan import (CartanDatum, parse_type, parse_type_name,
+                             positive_root_count, root_length_squares,
+                             standard_cartan_matrix, weyl_group_order)
 from klbounds.errors import InvalidCartanError
 
 
@@ -86,6 +86,11 @@ def test_parse_type_forms():
     assert parse_type("b", 3).family == "B"
     assert parse_type("E8").rank == 8
     assert parse_type("F4", 4).family == "F4"
+    # the name alone, with no Cartan matrix built, even for huge ranks
+    assert parse_type_name("b", 3) == ("B", 3)
+    assert parse_type_name("A99999") == ("A", 99999)
+    with pytest.raises(InvalidCartanError):
+        parse_type_name("C1")
     with pytest.raises(InvalidCartanError):
         parse_type("A")
     with pytest.raises(InvalidCartanError):

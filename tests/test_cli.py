@@ -1,9 +1,16 @@
 import json
+import os
+from pathlib import Path
+import resource
+import subprocess
+import sys
 
 import pytest
 
 from klbounds.cli import main
 from klbounds.verify import SuiteResult, Verdict
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -268,3 +275,30 @@ def test_broken_pipe_exits_quietly(monkeypatch):
     rc = main(["verify", "main-theorem", "--type", "A2",
                "--format", "csv"])
     assert rc == 141
+
+
+def _limit_address_space():
+    # 1 GB: a type built before it is refused fails here, not the machine
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv", [
+    ("kl", "--type", "A99999", "--x", "e", "--w", "e"),
+    ("phi", "--type", "A99999", "--w", "e", "--parabolic", "standard:s1"),
+    ("verify", "smoothness", "--type", "A99999"),
+    ("kl", "--type", "A200", "--x", "e", "--w", "e"),
+    ("kl", "--type", "A200", "--x", "e", "--w", "e", "--slow"),
+    ("verify", "main-theorem", "--type", "B1000", "--slow"),
+], ids=["kl-A99999", "phi-A99999", "verify-A99999", "kl-A200",
+        "kl-A200-slow", "verify-B1000-slow"])
+def test_oversize_type_refused_before_building(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "klbounds.cli", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=10, preexec_fn=_limit_address_space)
+    assert done.returncode == 3, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith("resource cap:")
+    assert "Traceback" not in done.stderr
