@@ -24,7 +24,9 @@ the coset equality work per x instead (coefficientwise_bounds,
 parabolic_equalities): the hypothesis, phi(x) and the coset W'x with
 its pattern images u phi(x) are computed once, and for each w both
 Bruhat orders are read from built KL columns, whose keys are exactly
-the elements below their w.
+the elements below their w.  The coset is built by generator steps
+through the ambient's tabulated left_mul, so no root images are
+multiplied on that path.
 """
 
 from dataclasses import dataclass
@@ -308,10 +310,34 @@ def _require_standardness(sub, x, what):
 
 
 def _coset_table(sub, x, phix):
-    """The coset W'x as pairs (u x, phi(u x)), phi(u x) = u phi(x)."""
+    """The coset W'x as pairs (u x, phi(u x)), in sub.elements() order.
+
+    phi(u x) = u phi(x) by equivariance.  Each u is s' u' with s' the
+    first letter of its canonical word and u' the rest, so u' comes
+    earlier in sub.elements(), which runs by length, and the pair of u
+    is the pair of u' multiplied by s' on the left.  s' is applied as
+    its ambient canonical word through the tabulated ``left_mul``: one
+    lookup per step when s' is a simple reflection, as in a standard
+    parabolic, and 2k+1 when it is a reflection of ambient length 2k+1.
+    """
     amb = sub.ambient
-    return [(amb.multiply(u, x), amb.multiply(u, phix))
-            for u in sub.elements()]
+    left_mul = amb.left_mul
+    # each generator's ambient word, rightmost letter first
+    steps = [amb.canonical_word(s)[::-1] for s in sub.simple_reflections]
+    by_word = {}
+    table = []
+    for u in sub.elements():
+        word = sub.canonical_word(u)
+        if word:
+            y, fy = by_word[word[1:]]
+            for j in steps[word[0]]:
+                y = left_mul(j, y)
+                fy = left_mul(j, fy)
+        else:
+            y, fy = x, phix
+        by_word[word] = y, fy
+        table.append((y, fy))
+    return table
 
 
 def coefficientwise_bounds(sub, x, ws):

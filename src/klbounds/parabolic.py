@@ -175,7 +175,8 @@ def parabolic_conjugate(system, x, gen_indices):
 
 def standard_parabolic(system, gen_indices):
     """The standard parabolic generated by the listed simple reflections."""
-    return parabolic_conjugate(system, system.identity, gen_indices)
+    gens = [system.simple_reflections[i] for i in sorted(set(gen_indices))]
+    return parabolic_from_reflections(system, gens)
 
 
 # -- the pattern map
@@ -511,6 +512,8 @@ def _parse_gen_list(system, body):
         k = _spec_int(tok, "generator")
         if not 1 <= k <= system.rank:
             raise ParseError(f"generator s{k} outside 1..{system.rank}")
+        if k - 1 in out:
+            raise ParseError(f"generator s{k} listed twice in subgroup spec")
         out.append(k - 1)
     return out
 

@@ -160,19 +160,33 @@ def _poly_token(poly):
     return str(poly).replace(" ", "")
 
 
-def _lex_sorted(system, elements):
-    if system.datum.is_classical:
-        return tuple(sorted(elements, key=system.to_oneline))
-    return tuple(sorted(elements, key=system.sort_key))
+def _cached_on(ctx, attr, build):
+    """ctx.attr, set to build() on first use; lives as long as ctx."""
+    value = getattr(ctx, attr, None)
+    if value is None:
+        value = build()
+        setattr(ctx, attr, value)
+    return value
 
 
 def _lex_elements(ctx):
     """Context elements in the suite iteration order."""
-    cached = getattr(ctx, "_suite_order", None)
-    if cached is None:
-        cached = _lex_sorted(ctx.system, ctx.elements())
-        ctx._suite_order = cached
-    return cached
+    system = ctx.system
+    key = system.to_oneline if system.datum.is_classical else system.sort_key
+    return _cached_on(ctx, "_suite_order",
+                      lambda: tuple(sorted(ctx.elements(), key=key)))
+
+
+def _names(system):
+    """Each element's record token, formatted once per system."""
+    return _cached_on(system, "_suite_names", lambda: {
+        w: _fmt(system, w) for w in _lex_elements(system)})
+
+
+def _suite_ranks(system):
+    """Each element's position in the suite iteration order."""
+    return _cached_on(system, "_suite_ranks", lambda: {
+        w: k for k, w in enumerate(_lex_elements(system))})
 
 
 def _ranges(count, pieces=16):
@@ -282,21 +296,21 @@ def _unit_coefficientwise(system, arg):
     desc = describe_subgroup(sub)
     fam, rank = system.datum.family, system.datum.rank
     els = _lex_elements(system)
+    names = _names(system)
     out = []
     for x in els:
         if not standardness_holds(sub, x):
             continue
-        xs = _fmt(system, x)
+        xs = names[x]
         for rep in coefficientwise_bounds(sub, x, els):
             lhs = IntPolynomial(tuple(r[1] for r in rep.degrees))
             rhs = IntPolynomial(tuple(r[2] for r in rep.degrees))
             detail = (
                 ("degrees", [list(row) for row in rep.degrees]),
                 ("empty", rep.empty),
-                ("y", None if rep.y is None else _fmt(system, rep.y)),
+                ("y", None if rep.y is None else names[rep.y]),
             )
-            out.append(Verdict("COEFF", fam, rank, desc, xs,
-                               _fmt(system, rep.w),
+            out.append(Verdict("COEFF", fam, rank, desc, xs, names[rep.w],
                                _poly_token(lhs), _poly_token(rhs),
                                rep.holds, detail))
     return out
@@ -306,16 +320,18 @@ def _unit_parabolic_equality(system, arg):
     sub = parse_subgroup_spec(system, arg)
     desc = describe_subgroup(sub)
     fam, rank = system.datum.family, system.datum.rank
+    names = _names(system)
+    ranks = _suite_ranks(system)
     out = []
     for x in _lex_elements(system):
         if not standardness_holds(sub, x):
             continue
-        xs = _fmt(system, x)
-        results = dict(parabolic_equalities(sub, x))
-        for w in _lex_sorted(system, results):
-            res = results[w]
+        xs = names[x]
+        results = sorted(parabolic_equalities(sub, x),
+                         key=lambda item: ranks[item[0]])
+        for w, res in results:
             out.append(Verdict("PARABOLIC-EQ", fam, rank, desc, xs,
-                               _fmt(system, w), _poly_token(res.lhs),
+                               names[w], _poly_token(res.lhs),
                                _poly_token(res.rhs), res.holds))
     return out
 

@@ -6,13 +6,18 @@ search, the Bruhat order from the subword property, KL polynomials from
 the R-polynomial inversion identity solved as a triangular system.
 Only the group arithmetic itself (element multiplication) is shared,
 since there is no second way to multiply matrices worth maintaining.
+The maxima oracle is the exception: it is independent of the bounds
+module, not of the Bruhat order, and compares pairs with the library's
+``bruhat_leq`` rather than reading KL columns.
 """
 
+import functools
 import itertools
 
 import pytest
 
 from klbounds import get_system
+from klbounds.parabolic import phi_root
 
 
 @pytest.fixture(scope="session")
@@ -178,3 +183,26 @@ def oracle_kl_table(ctx, w):
         assert len(rhs) <= ldiff + 1, "inversion system inconsistent"
         table[x] = coeffs
     return table
+
+
+@functools.lru_cache(maxsize=None)
+def _phi(sub, y):
+    return phi_root(sub, y)
+
+
+def maxima_oracle(sub, x, w):
+    """M(x, w; W') by brute force for one pair, sorted by sort_key.
+
+    The members of W'x below w are found with the ambient ``bruhat_leq``
+    on products u x; y is maximal when no other member's pattern-map
+    image lies strictly above phi(y) in ``sub.bruhat_leq``.  Each image
+    is phi_root of the member itself, not u phi(x).
+    """
+    amb = sub.ambient
+    members = [y for y in (amb.multiply(u, x) for u in sub.elements())
+               if amb.bruhat_leq(y, w)]
+    images = {y: _phi(sub, y) for y in members}
+    maxima = [y for y in members
+              if not any(z != y and sub.bruhat_leq(images[y], images[z])
+                         for z in members)]
+    return tuple(sorted(maxima, key=amb.sort_key))

@@ -124,7 +124,7 @@ def test_criterion_07_coefficientwise_suites():
     elapsed = time.perf_counter() - start
     failed = sum(r.failed for r in results)
     checked = sum(r.checked for r in results)
-    ok = failed == 0 and checked > 0 and elapsed < 120
+    ok = failed == 0 and checked > 0 and elapsed < 60
     report(7, ok, f"checked={checked} failed={failed} ({elapsed:.1f}s)")
 
 

@@ -3,17 +3,19 @@ import random
 import pytest
 
 from klbounds import get_system, kl_polynomial
-from klbounds.bounds import (brenti_simion, coefficientwise_bound,
-                             coefficientwise_bounds, conjugate_is_standard,
-                             main_bound, maximal_set, monotonicity_bound,
-                             parabolic_equalities, parabolic_equality,
-                             standardness_holds)
+from klbounds.bounds import (_coset_table, brenti_simion,
+                             coefficientwise_bound, coefficientwise_bounds,
+                             conjugate_is_standard, main_bound, maximal_set,
+                             monotonicity_bound, parabolic_equalities,
+                             parabolic_equality, standardness_holds)
 from klbounds.errors import HypothesisError
 from klbounds.parabolic import (all_parabolic_subgroups,
                                 parabolic_from_reflections,
                                 parse_subgroup_spec, phi_root,
                                 standard_parabolic_subgroups)
 from klbounds.polynomials import ONE, IntPolynomial
+
+from conftest import maxima_oracle
 
 
 def test_worked_example_s4(a3):
@@ -117,9 +119,9 @@ def _per_pair_rows(sub, x, w, y):
                  for k in range(top + 1))
 
 
-def _check_against_maximal_set(sub, x, w, rep):
+def _check_report(sub, x, w, rep, maxima):
+    """rep against a maximal set found another way, for the pair (x, w)."""
     assert rep.x == x and rep.w == w
-    maxima = maximal_set(sub, x, w)
     if not maxima:
         assert rep.empty and rep.y is None and rep.degrees == ()
         return
@@ -148,7 +150,7 @@ def test_coefficientwise_bounds_match_maximal_set(name, spec):
             reps = list(coefficientwise_bounds(sub, x, els))
             assert [rep.w for rep in reps] == list(els)
             for w, rep in zip(els, reps):
-                _check_against_maximal_set(sub, x, w, rep)
+                _check_report(sub, x, w, rep, maximal_set(sub, x, w))
     assert eligible > 0
 
 
@@ -165,8 +167,54 @@ def test_coefficientwise_bound_sampled_pairs(name, samples):
         sub = subs[rng.randrange(len(subs))]
         x = els[rng.randrange(len(els))]
         w = els[rng.randrange(len(els))]
-        _check_against_maximal_set(sub, x, w,
-                                   coefficientwise_bound(sub, x, w))
+        _check_report(sub, x, w, coefficientwise_bound(sub, x, w),
+                      maximal_set(sub, x, w))
+
+
+@pytest.mark.parametrize("name,spec,samples", [
+    ("A3", None, None), ("B3", None, None), ("A3", "refl:1-3,2-4", None),
+    ("A4", "full", 300), ("D4", None, 300),
+], ids=["A3-standard", "B3-standard", "A3-refl", "A4-full-300", "D4-300"])
+def test_coefficientwise_bounds_match_maxima_oracle(name, spec, samples):
+    system = get_system(name)
+    if spec is None:
+        subs = standard_parabolic_subgroups(system)
+    else:
+        subs = [parse_subgroup_spec(system, spec)]
+    els = system.elements()
+    if samples is None:
+        pairs = [(sub, x, els) for sub in subs for x in els
+                 if standardness_holds(sub, x)]
+    else:
+        rng = random.Random(f"{name}:maxima-oracle")
+        pairs = [(subs[rng.randrange(len(subs))],
+                  els[rng.randrange(len(els))],
+                  (els[rng.randrange(len(els))],)) for _ in range(samples)]
+    assert pairs
+    for sub, x, ws in pairs:
+        for w, rep in zip(ws, coefficientwise_bounds(sub, x, ws),
+                          strict=True):
+            _check_report(sub, x, w, rep, maxima_oracle(sub, x, w))
+
+
+@pytest.mark.parametrize("name,spec", [
+    ("A3", None), ("B3", None), ("G2", None), ("A3", "refl:1-3,2-4"),
+], ids=["A3", "B3", "G2", "A3-refl"])
+def test_coset_table_matches_multiply(name, spec):
+    system = get_system(name)
+    if spec is None:
+        subs = all_parabolic_subgroups(system)
+    else:
+        subs = [parse_subgroup_spec(system, spec)]
+    # conjugates have generators that are not simple reflections
+    assert any(not sub.is_standard for sub in subs)
+    for sub in subs:
+        subels = sub.elements()
+        for x in system.elements():
+            phix = phi_root(sub, x)
+            assert _coset_table(sub, x, phix) == [
+                (system.multiply(u, x), system.multiply(u, phix))
+                for u in subels]
 
 
 @pytest.mark.parametrize("name", ["A3", "B3"])

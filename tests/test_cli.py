@@ -227,6 +227,20 @@ def test_malformed_subgroup_spec_is_usage_error(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "spec", ["standard:s1,s1", "standard:s2,s2,s1", "conj:e|s1,s1"])
+@pytest.mark.parametrize("command", [
+    ("phi", "--type", "A3", "--w", "2143"),
+    ("verify", "coefficientwise", "--type", "A3"),
+], ids=["phi", "verify"])
+def test_repeated_generator_is_usage_error(capsys, command, spec):
+    code, out, err = run(capsys, *command, "--parabolic", spec)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "listed twice" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ("kl", "--type", "A3", "--x", "1234", "--w", "4321", "--cap", "-5"),
     ("kl", "--type", "A3", "--x", "1234", "--w", "4321", "--cap", "0"),

@@ -4,9 +4,12 @@ import pytest
 
 from klbounds import get_system, run_suite
 from klbounds.bounds import main_bound, monotonicity_bound
+from klbounds.cartan import CartanDatum
+from klbounds.coxeter import CoxeterSystem, build_system
 from klbounds.errors import EnumerationCapError, ParseError
 from klbounds.parabolic import all_parabolic_subgroups, parse_subgroup_spec
-from klbounds.verify import SUITE_NAMES, canonical_json
+from klbounds.verify import (SUITE_NAMES, _unit_coefficientwise,
+                             canonical_json)
 
 
 def _lines(result):
@@ -49,10 +52,35 @@ def test_determinism_across_runs():
 
 
 def test_parallel_merge_matches_serial():
-    serial = run_suite("main-theorem", "B2", jobs=1)
-    parallel = run_suite("main-theorem", "B2", jobs=2)
-    assert _lines(serial) == _lines(parallel)
-    assert serial.checked == parallel.checked > 0
+    # each worker fills its own per-system name cache
+    for suite, type_text in (("main-theorem", "B2"),
+                             ("coefficientwise", "A3"),
+                             ("coefficientwise", "B3"),
+                             ("parabolic-equality", "A3"),
+                             ("parabolic-equality", "B3")):
+        serial = run_suite(suite, type_text, jobs=1)
+        parallel = run_suite(suite, type_text, jobs=2)
+        assert _lines(serial) == _lines(parallel), (suite, type_text)
+        assert serial.checked == parallel.checked > 0
+
+
+def test_coefficientwise_unit_work_counts(monkeypatch):
+    # a fresh system, so no memo from another test hides the work
+    system = build_system(CartanDatum.standard("A", 3))
+    counts = {"multiply": 0, "format_element": 0}
+    for attr in counts:
+        original = getattr(CoxeterSystem, attr)
+
+        def counted(self, *args, _original=original, _attr=attr):
+            counts[_attr] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(CoxeterSystem, attr, counted)
+    records = _unit_coefficientwise(system, "full")
+    assert len(records) == 24 * 24
+    assert all(rec.holds for rec in records)
+    assert counts["multiply"] == 0
+    assert counts["format_element"] <= 24
 
 
 def test_main_records_match_direct_evaluation(a3):
