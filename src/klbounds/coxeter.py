@@ -33,7 +33,7 @@ unsigned permutations, matching the classical combinatorics.
 
 from bisect import insort
 from functools import lru_cache
-from operator import mul
+from operator import itemgetter, mul
 
 from .cartan import (CartanDatum, parse_type_name, positive_root_count,
                      type_name)
@@ -243,17 +243,25 @@ class CoxeterContext:
 
         Lifting property (Bjorner-Brenti, GTM 231, Prop. 2.2.7):
         [e, s v] = [e, v] union s[e, v].  When s z < z, s z already lies in
-        [e, v], so only the ascents z of below add members.
+        [e, v], so only the ascents z of below add members.  Each member x
+        comes as (l(x), x, s_i x, s_i x < x), read from one group call of
+        each kind per z in below; members run below first, then the added
+        ones in the order of below, stably sorted by decreasing length.
         """
-        members = dict.fromkeys(below)
+        members, added = [], []
         for z in below:
-            if not self.left_descent(z, i):
-                members[self.left_mul(i, z)] = None
+            lz, sz, down = (self.length(z), self.left_mul(i, z),
+                            self.left_descent(z, i))
+            members.append((lz, z, sz, down))
+            if not down and sz not in below:
+                added.append((lz + 1, sz, z, True))
+        members += added
         cap = self.enum_cap
         if len(members) > cap:
             raise EnumerationCapError(
                 f"interval of {len(members)} elements exceeds cap {cap}", cap)
-        return sorted(members, key=self.length, reverse=True)
+        members.sort(key=itemgetter(0), reverse=True)
+        return members
 
     def elements(self):
         """Every element of the context group, sorted by sort_key."""
@@ -778,10 +786,12 @@ class CoxeterSystem(CoxeterContext):
                 raise ParseError(
                     f"{self.datum.type_name()} has no one-line form")
             return self.format_word(w)
-        values = self.to_oneline(w)
-        if self.datum.family == "A" and self._points <= 9:
-            return "".join(str(v) for v in values)
-        return ",".join(str(v) for v in values)
+        return self.format_window(self.to_oneline(w))
+
+    def format_window(self, values):
+        """The 'auto' rendering of a classical one-line window."""
+        sep = "" if self.datum.family == "A" and self._points <= 9 else ","
+        return sep.join(str(v) for v in values)
 
     # -- classical root builders (for subgroup specs)
 

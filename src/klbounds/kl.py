@@ -11,15 +11,18 @@ of w and v = s w,
 where the sum runs over x <= z <= v with s z < z, and mu(z, v) is the
 coefficient of q^{(l(v)-l(z)-1)/2} in P_{z,v}.  The x to visit need no
 search: by the lifting property [e, w] = [e, v] union s[e, v], so the
-context lifts them from the keys of the column of v, longest first, and
-x with s x > x then finds P_{sx,w} already computed.  Each term P_{x,z}
-of the sum is read from the column of z, where a missing x means x is
-not below z, so building a column never tests the Bruhat order.  The
-columns hold millions of entries but only a few distinct polynomials,
-so each engine keeps a pool and every column entry is the pool's one
-copy of its polynomial.  Because the context may be a parabolic
-subgroup, the same engine computes the subgroup polynomials P' using
-the subgroup's own length and Bruhat order.
+context lifts them from the keys of the column of v as tuples
+(l(x), x, s x, s x < x), longest first, so the column makes no group call
+of its own and x with s x > x finds P_{sx,w} already computed.  The
+mu-list holds (l(z), z, mu(z, v), (l(w)-l(z))/2, column of z), longest
+first, and each term P_{x,z} is read from the column of z, where a
+missing x means x is not below z: building a column never tests the
+Bruhat order.  Coefficients are summed in place in one list of ints; the
+columns hold millions of entries but only a few distinct polynomials, so
+each engine keeps a pool keyed by coefficient tuple and every entry is
+the pool's one copy of its polynomial.  Because the context may be a
+parabolic subgroup, the same engine computes the subgroup polynomials P'
+using the subgroup's own length and Bruhat order.
 
 R-polynomials and the inversion identity
 
@@ -42,7 +45,7 @@ class KLEngine:
         self.ctx = ctx
         self.descent_rule = descent_rule
         self._columns = {}
-        self._pool = {ZERO: ZERO, ONE: ONE}
+        self._pool = {(): ZERO, (1,): ONE}
         self._rpolys = {}
 
     def _choose_descent(self, w):
@@ -63,43 +66,55 @@ class KLEngine:
         v = ctx.left_mul(i, w)
         colv = self.column(v)
         lw = ctx.length(w)
-        lv = lw - 1
+        interval = ctx.lower_interval(i, colv)
 
         mulist = []
-        for z, p in colv.items():
-            if not ctx.left_descent(z, i):
+        for lz, z, _, down in interval:
+            pz = colv.get(z) if down else None
+            if pz is None or (lw - lz) % 2:
                 continue
-            diff = lv - ctx.length(z)
-            if diff % 2 == 0:
-                continue
-            m = p[(diff - 1) // 2]
+            h = (lw - lz) // 2
+            m = pz[h - 1]
             if m:
-                mulist.append((z, m, lv - diff))
+                # x = s_i reads every column with l(z) >= 2 and no x reads
+                # one with l(z) = 1, so prefetching builds no extra column
+                mulist.append((lz, z, m, h,
+                               self.column(z) if lz >= 2 else None))
 
         pool = self._pool
         col = {}
-        for x in ctx.lower_interval(i, colv):
-            lx = ctx.length(x)
-            sx = ctx.left_mul(i, x)
-            if not ctx.left_descent(x, i):
+        for lx, x, sx, down in interval:
+            if not down:
                 # l(sx) = l(x) + 1 and sx <= w by lifting, so it is done
                 col[x] = col[sx]
                 continue
-            p = colv[sx] + colv.get(x, ZERO).shifted(1)
-            for z, m, lz in mulist:
+            acc = [0] * ((lw - lx) // 2 + 1)
+            acc[:len(colv[sx].coeffs)] = colv[sx].coeffs
+            pxv = colv.get(x)
+            if pxv is not None:
+                for k, c in enumerate(pxv.coeffs, 1):
+                    acc[k] += c
+            for lz, z, m, h, colz in mulist:
                 if lz < lx:
-                    continue
-                if z is x or z == x:
-                    p = p - IntPolynomial((m,)).shifted((lw - lz) // 2)
-                elif lz > lx:
-                    pxz = self.column(z).get(x)
+                    break
+                if lz > lx:
+                    pxz = colz.get(x)
                     if pxz is not None:
-                        p = p - (m * pxz).shifted((lw - lz) // 2)
-            if __debug__ and x != w:
-                assert p[0] == 1 and all(c >= 0 for c in p.coeffs), \
+                        for k, c in enumerate(pxz.coeffs, h):
+                            acc[k] -= m * c
+                elif z is x:  # both taken from the same interval tuples
+                    acc[h] -= m
+            while acc and not acc[-1]:
+                acc.pop()
+            key = tuple(acc)
+            if __debug__ and lx < lw:  # every x but w itself
+                assert key[:1] == (1,) and min(key) >= 0, \
                     "KL invariant violated"
-                assert 2 * p.degree <= lw - lx - 1, "KL degree bound violated"
-            col[x] = pool.setdefault(p, p)
+                assert 2 * len(key) <= lw - lx + 1, "KL degree bound violated"
+            p = pool.get(key)
+            if p is None:
+                p = pool[key] = IntPolynomial(key)
+            col[x] = p
         self._columns[w] = col
         return col
 

@@ -29,7 +29,6 @@ pool can run them; results merge in unit order, making reports
 independent of the job count.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 import json
 import random
@@ -172,15 +171,19 @@ def _cached_on(ctx, attr, build):
 def _lex_elements(ctx):
     """Context elements in the suite iteration order."""
     system = ctx.system
-    key = system.to_oneline if system.datum.is_classical else system.sort_key
+    key = (system.oneline_cached if system.datum.is_classical
+           else system.sort_key)
     return _cached_on(ctx, "_suite_order",
                       lambda: tuple(sorted(ctx.elements(), key=key)))
 
 
 def _names(system):
-    """Each element's record token, formatted once per system."""
+    """Each element's record token, formatted once per system (classical
+    tokens from the cached windows that order the suite)."""
     return _cached_on(system, "_suite_names", lambda: {
-        w: _fmt(system, w) for w in _lex_elements(system)})
+        w: (system.format_window(system.oneline_cached(w))
+            if system.datum.is_classical else _fmt(system, w))
+        for w in _lex_elements(system)})
 
 
 def _suite_ranks(system):
@@ -425,15 +428,15 @@ def _unit_smoothness(system, arg):
     fam, rank = system.datum.family, system.datum.rank
     engine = get_engine(system)
     ident = system.identity
-    ids = _fmt(system, ident)
+    names = _names(system)
     out = []
     for w in _lex_elements(system)[lo:hi]:
         poly = engine.polynomial(ident, w)
-        avoids = is_rationally_smooth_typeA(system.to_oneline(w))
+        avoids = is_rationally_smooth_typeA(system.oneline_cached(w))
         smooth = poly == ONE
         detail = (("avoids_4231_3412", avoids),
                   ("poly", _poly_token(poly)))
-        out.append(Verdict("SMOOTH", fam, rank, "-", ids, _fmt(system, w),
+        out.append(Verdict("SMOOTH", fam, rank, "-", names[ident], names[w],
                            str(poly(1)), "1" if avoids else "0",
                            smooth == avoids, detail))
     return out
@@ -444,19 +447,19 @@ def _unit_conjecture_p2(system, arg):
     fam, rank = system.datum.family, system.datum.rank
     engine = get_engine(system)
     ident = system.identity
-    ids = _fmt(system, ident)
+    names = _names(system)
     out = []
     for w in _lex_elements(system)[lo:hi]:
         value = engine.polynomial(ident, w)(1)
-        passes = conjecture_p2_patterns(system.to_oneline(w))
+        passes = conjecture_p2_patterns(system.oneline_cached(w))
         if value == 2:
-            out.append(Verdict("P2", fam, rank, "-", ids, _fmt(system, w),
+            out.append(Verdict("P2", fam, rank, "-", names[ident], names[w],
                                "2", "1" if passes else "0", passes,
                                (("p_at_one", 2),)))
         elif passes and value > 2:
             # converse candidate: reported, never asserted
-            out.append(Verdict("P2-CONVERSE", fam, rank, "-", ids,
-                               _fmt(system, w), str(value), "2", True,
+            out.append(Verdict("P2-CONVERSE", fam, rank, "-", names[ident],
+                               names[w], str(value), "2", True,
                                (("note", "converse candidate"),)))
     return out
 
@@ -557,6 +560,7 @@ def run_suite(suite, type_text, rank=None, parabolic=None, slow=False,
                         cap=cap)
     start = time.perf_counter()
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(run_unit, units))
     else:

@@ -316,3 +316,16 @@ def test_oversize_type_refused_before_building(argv):
     assert done.stdout == ""
     assert done.stderr.startswith("resource cap:")
     assert "Traceback" not in done.stderr
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only --jobs above 1 needs the pool, so no other run pays its import
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    probe = ("import sys, klbounds.cli; "
+             "print('concurrent.futures.process' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

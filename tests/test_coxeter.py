@@ -62,6 +62,34 @@ def test_lower_interval_matches_oracle(a3, b3):
                 assert set(engine.column(w)) == subword_interval(ctx, w)
 
 
+@pytest.mark.parametrize("spec", ["A3", "B3", "G2", "B3|standard:s2,s3"])
+def test_lower_interval_tuples_lift_the_column(spec):
+    name, _, parabolic = spec.partition("|")
+    ctx = get_system(name)
+    if parabolic:
+        ctx = parse_subgroup_spec(ctx, parabolic)
+    engine = get_engine(ctx)
+    for v in ctx.elements():
+        below = engine.column(v)
+        for i in range(ctx.num_simples):
+            if ctx.left_descent(v, i):
+                continue
+            result = ctx.lower_interval(i, below)
+            for lx, x, sx, down in result:
+                assert lx == ctx.length(x)
+                assert sx == ctx.left_mul(i, x)
+                assert down == ctx.left_descent(x, i)
+            members = [x for _, x, _, _ in result]
+            assert len(set(members)) == len(members)
+            assert set(members) == subword_interval(ctx, ctx.left_mul(i, v))
+            # reference order: below first, then each new s_i z in the
+            # order of below, stably sorted by decreasing length
+            lifted = [ctx.left_mul(i, z) for z in below
+                      if not ctx.left_descent(z, i)]
+            old = dict.fromkeys(list(below) + lifted)
+            assert members == sorted(old, key=ctx.length, reverse=True)
+
+
 @pytest.mark.parametrize("name", ["A3", "B2", "D3", "G2"])
 def test_canonical_words_are_reduced(name):
     system = get_system(name)

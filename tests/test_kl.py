@@ -82,8 +82,37 @@ def test_columns_share_one_pool_without_bruhat_tests(monkeypatch, name,
     values = [p for w in system.elements()
               for p in engine.column(w).values()]
     assert calls == []
-    assert all(engine._pool[p] is p for p in values)
+    assert all(engine._pool[p.coeffs] is p for p in values)
     assert len({id(p) for p in values}) == len(set(values))
+
+
+@pytest.mark.parametrize("name, built, entries, pooled", [
+    ("A5", 720, 98_407, 18),
+    ("B4", 384, 40_249, 42),
+])
+def test_every_column_work_is_pinned(name, built, entries, pooled):
+    system = build_system(parse_type(name))
+    engine = KLEngine(system)
+    for w in system.elements():
+        engine.column(w)
+    assert len(engine._columns) == built
+    assert sum(map(len, engine._columns.values())) == entries
+    # counting the zero polynomial, which no column holds
+    assert len(engine._pool) == pooled
+
+
+@pytest.mark.skipif(not __debug__, reason="the checks are asserts")
+@pytest.mark.parametrize("wrong", [IntPolynomial((2,)), ZERO])
+def test_corrupted_entry_fails_the_invariant_check(wrong):
+    system = build_system(parse_type("A2"))
+    engine = KLEngine(system)
+    w = next(u for u in system.elements() if system.length(u) == 2)
+    i = engine._choose_descent(w)
+    v = system.left_mul(i, w)
+    # P_{s_i, w} = P_{e, v}: no mu-term and no q P_{s_i, v} reaches it
+    engine.column(v)[system.identity] = wrong
+    with pytest.raises(AssertionError, match="KL invariant violated"):
+        engine.column(w)
 
 
 def test_inverse_symmetry(b2):

@@ -9,6 +9,7 @@ from klbounds.coxeter import CoxeterSystem, build_system
 from klbounds.errors import EnumerationCapError, ParseError
 from klbounds.parabolic import all_parabolic_subgroups, parse_subgroup_spec
 from klbounds.verify import (SUITE_NAMES, _unit_coefficientwise,
+                             _unit_conjecture_p2, _unit_smoothness,
                              canonical_json)
 
 
@@ -81,6 +82,22 @@ def test_coefficientwise_unit_work_counts(monkeypatch):
     assert all(rec.holds for rec in records)
     assert counts["multiply"] == 0
     assert counts["format_element"] <= 24
+
+
+@pytest.mark.parametrize("unit", [_unit_conjecture_p2, _unit_smoothness])
+def test_window_units_compute_each_window_once(monkeypatch, unit):
+    system = build_system(CartanDatum.standard("A", 4))
+    calls = []
+    to_oneline = CoxeterSystem.to_oneline
+
+    def counted(self, w):
+        calls.append(w)
+        return to_oneline(self, w)
+
+    monkeypatch.setattr(CoxeterSystem, "to_oneline", counted)
+    records = unit(system, "0:120")
+    assert records and all(rec.holds for rec in records)
+    assert len(calls) == len(set(calls)) == 120
 
 
 def test_main_records_match_direct_evaluation(a3):
