@@ -18,9 +18,11 @@ under the pattern map, and the block-diagonal case in the symmetric
 group gives the product factorization credited to Brenti and Simion.
 
 Two ways of finding M serve the bounds.  main_bound scans the coset for
-each pair: family A in one-line window arithmetic, the other families
-through the root-system Bruhat order.  The coefficientwise bound and
-the coset equality work per x instead (coefficientwise_bounds,
+each pair through the Bruhat order, except in family A, where
+_maxima_typeA enumerates W'x in one-line windows compared by the
+tableau criterion: the only window arithmetic left, as family A has no
+Bruhat order of its own.  The coefficientwise bound and the coset
+equality work per x instead (coefficientwise_bounds,
 parabolic_equalities): the hypothesis, phi(x) and the coset W'x with
 its pattern images u phi(x) are computed once, and for each w both
 Bruhat orders are read from built KL columns, whose keys are exactly
@@ -29,14 +31,16 @@ through the ambient's tabulated left_mul, so no root images are
 multiplied on that path.
 """
 
+from bisect import insort
 from dataclasses import dataclass
 from itertools import permutations, product
 from typing import NamedTuple
 
-from .coxeter import _prefix_dominated, get_system
+from .coxeter import get_system
 from .errors import HypothesisError
 from .kl import get_engine, kl_polynomial
-from .parabolic import coset_minimum, describe_subgroup, phi_root
+from .parabolic import (_normalize_positive, coset_minimum,
+                        describe_subgroup, phi_root, simple_roots)
 from .patterns import _coerce_perm, flatten
 from .polynomials import ONE, ZERO, IntPolynomial
 
@@ -110,13 +114,6 @@ def _coset_below(sub, x, w):
     return out
 
 
-def _transposition_values(coords):
-    # a family A positive root is a consecutive run of ones whose
-    # reflection swaps the values at the run's endpoints
-    nz = [i for i, c in enumerate(coords) if c]
-    return nz[0] + 1, nz[-1] + 2
-
-
 def _value_orbits_typeA(sub):
     """Orbits of size >= 2 of the one-line values moved by W' (family A)."""
     n = sub.ambient.rank + 1
@@ -129,8 +126,10 @@ def _value_orbits_typeA(sub):
         return a
 
     for coords in sub.simples_prime:
-        a, b = _transposition_values(coords)
-        ra, rb = find(a), find(b)
+        # a family A positive root is a run of ones whose reflection
+        # swaps the values at the run's two ends
+        nz = [i for i, c in enumerate(coords) if c]
+        ra, rb = find(nz[0] + 1), find(nz[-1] + 2)
         if ra != rb:
             parent[rb] = ra
     groups = {}
@@ -139,34 +138,23 @@ def _value_orbits_typeA(sub):
     return [tuple(vs) for vs in groups.values() if len(vs) > 1]
 
 
-def _dominance_tester(wv):
-    """Compiled form of the tableau criterion against a fixed window.
+def _prefix_dominated(xv, wv):
+    """Ehresmann's tableau criterion on one-line windows.
 
-    rows[k][v-1] counts values <= v among the first k+1 entries of wv;
-    a window lies below wv exactly when its own running counts are
-    everywhere at least these.
+    x <= w in the Bruhat order of the symmetric group exactly when, for
+    every k, the increasing rearrangement of the first k values of x is
+    dominated entrywise by that of w (Bjorner-Brenti, GTM 231, Thm 2.6.3).
+    Works for any totally ordered value alphabet, not just 1..n.
     """
-    n = len(wv)
-    rows = []
-    cnt = [0] * (n + 1)
-    for c in wv:
-        for v in range(c, n + 1):
-            cnt[v] += 1
-        rows.append(tuple(cnt[1:]))
-    rng = tuple(range(n))
-
-    def leq(yv):
-        cx = [0] * (n + 1)
-        for k, c in enumerate(yv):
-            for v in range(c, n + 1):
-                cx[v] += 1
-            row = rows[k]
-            for v in rng:
-                if cx[v + 1] < row[v]:
-                    return False
-        return True
-
-    return leq
+    xs = []
+    ws = []
+    for xc, wc in zip(xv, wv):
+        insort(xs, xc)
+        insort(ws, wc)
+        for a, b in zip(xs, ws):
+            if a > b:
+                return False
+    return True
 
 
 def _maxima_typeA(sub, x, w):
@@ -182,7 +170,6 @@ def _maxima_typeA(sub, x, w):
     amb = sub.ambient
     xv = amb.oneline_cached(x)
     wv = amb.oneline_cached(w)
-    below_w = _dominance_tester(wv)
     orbits = _value_orbits_typeA(sub)
     phiv = amb.oneline_cached(phi_root(sub, x))
     slot = {v: i for i, v in enumerate(xv)}
@@ -197,7 +184,7 @@ def _maxima_typeA(sub, x, w):
         for slots, vals in zip(slot_lists, combo):
             for i, v in zip(slots, vals):
                 yv[i] = v
-        if not below_w(yv):
+        if not _prefix_dominated(yv, wv):
             continue
         wins = []
         lsum = 0
@@ -280,20 +267,9 @@ def main_bound(sub, x, w):
 def conjugate_is_standard(sub, x):
     """Whether x^{-1} W' x is a standard parabolic of the ambient system."""
     amb = sub.ambient
-    moved = set()
-    for v in sub.positives_prime:
-        img = amb.act_inv(x, v)
-        if all(c <= 0 for c in img):
-            img = tuple(-c for c in img)
-        moved.add(img)
-    simple_set = set(amb.simple_root_vecs)
-    for v in moved:
-        decomposable = any(
-            tuple(a - b for a, b in zip(v, u)) in moved
-            for u in moved if u != v)
-        if not decomposable and v not in simple_set:
-            return False
-    return True
+    moved = {_normalize_positive(amb.act_inv(x, v))
+             for v in sub.positives_prime}
+    return set(simple_roots(moved)) <= set(amb.simple_root_vecs)
 
 
 def standardness_holds(sub, x):

@@ -31,7 +31,6 @@ a window by integer rank agrees with the pattern map onto the subgroup of
 unsigned permutations, matching the classical combinatorics.
 """
 
-from bisect import insort
 from functools import lru_cache
 from operator import itemgetter, mul
 
@@ -79,25 +78,6 @@ def _vec_is_negative(vec):
         if c:
             return c < 0
     return False
-
-
-def _prefix_dominated(xv, wv):
-    """Ehresmann's tableau criterion on one-line windows.
-
-    x <= w in the Bruhat order of the symmetric group exactly when, for
-    every k, the increasing rearrangement of the first k values of x is
-    dominated entrywise by that of w.  Works for any totally ordered
-    value alphabet, not just 1..n.
-    """
-    xs = []
-    ws = []
-    for xc, wc in zip(xv, wv):
-        insort(xs, xc)
-        insort(ws, wc)
-        for a, b in zip(xs, ws):
-            if a > b:
-                return False
-    return True
 
 
 class GroupElement:
@@ -162,7 +142,8 @@ class CoxeterContext:
     KL engine already holds.  ``CoxeterSystem.left_mul`` keeps a lazily
     filled product table per generator, so the lifting, the Bruhat descent
     recursion and canonical words look up s_i w instead of recomputing it
-    from root images.
+    from root images.  The Bruhat order is that descent recursion in every
+    family; family A has no order of its own on one-line windows.
     """
 
     def _init_context(self):
@@ -388,22 +369,6 @@ class CoxeterSystem(CoxeterContext):
             vals = self.to_oneline(w)
             self._oneline_memo[w] = vals
         return vals
-
-    def bruhat_leq(self, x, w):
-        # family A gets the tableau criterion; the generic descent
-        # recursion costs a chain of multiplications per uncached pair
-        if self.datum.family != "A":
-            return super().bruhat_leq(x, w)
-        if x is w or x == w:
-            return True
-        memo = self._bruhat
-        key = (x, w)
-        hit = memo.get(key)
-        if hit is None:
-            hit = _prefix_dominated(self.oneline_cached(x),
-                                    self.oneline_cached(w))
-            memo[key] = hit
-        return hit
 
     def left_mul(self, i, w):
         """s_i w, tabulated lazily with one table per generator.

@@ -36,6 +36,15 @@ def _normalize_positive(vec):
     return _negate(vec) if _vec_is_negative(vec) else vec
 
 
+def simple_roots(positives):
+    """The roots of a positive system that are not a difference of two
+    of its roots, in the given order: its simple roots."""
+    pos = set(positives)
+    return tuple(v for v in positives
+                 if not any(tuple(a - b for a, b in zip(v, u)) in pos
+                            for u in pos))
+
+
 class ParabolicSubgroup(CoxeterContext):
     """A parabolic reflection subgroup, usable as a Coxeter context.
 
@@ -61,16 +70,8 @@ class ParabolicSubgroup(CoxeterContext):
         self._refl_data = tuple(
             ambient._refl_data[i] for i in self.root_indices)
 
-        positive_set = set(self.positives_prime)
-        simples = []
-        for v in self.positives_prime:
-            decomposable = any(
-                tuple(a - b for a, b in zip(v, u)) in positive_set
-                for u in positive_set if u != v)
-            if not decomposable:
-                simples.append(v)
-        self.simples_prime = tuple(simples)  # ambient index order
-        self.simple_root_vecs = self.simples_prime
+        simples = simple_roots(self.positives_prime)  # ambient index order
+        self.simples_prime = self.simple_root_vecs = simples
         self.num_simples = len(simples)
         self._simple_rdata = tuple(
             ambient.reflection_data_for(v) for v in simples)
@@ -306,10 +307,10 @@ def unsigned_subgroup(system):
 def flatten_element(sub, u):
     """Per-block flattened one-line form of an element of a position
     subgroup; a single tuple for one block, a tuple of tuples otherwise."""
-    blocks = sub._blocks or sub._signed_blocks
+    signed = sub._signed_blocks is not None
+    blocks = sub._signed_blocks if signed else sub._blocks
     if blocks is None:
         raise ParseError("subgroup was not built from position blocks")
-    signed = sub._signed_blocks is not None
     values = sub.ambient.to_oneline(u)
     out = []
     for block in blocks:
@@ -326,10 +327,13 @@ def flatten_element(sub, u):
 def embed_pattern(sub, flat, block_index=0):
     """Inverse of flatten_element on one block: the element of W' whose
     flattened form on that block is `flat`, fixing everything else."""
-    blocks = sub._blocks or sub._signed_blocks
+    signed = sub._signed_blocks is not None
+    blocks = sub._signed_blocks if signed else sub._blocks
     if blocks is None:
         raise ParseError("subgroup was not built from position blocks")
-    signed = sub._signed_blocks is not None
+    if not 0 <= block_index < len(blocks):
+        raise ParseError(f"no block {block_index}: the subgroup has "
+                         f"{len(blocks)} position blocks")
     block = blocks[block_index]
     if len(flat) != len(block):
         raise ParseError("pattern size does not match the block")

@@ -45,15 +45,6 @@ def pattern_witness(w, v):
         return None
     chosen = []
 
-    def prefix_ok(vals):
-        m = len(vals)
-        pref = v[:m]
-        for i in range(m):
-            for j in range(i + 1, m):
-                if (vals[i] < vals[j]) != (pref[i] < pref[j]):
-                    return False
-        return True
-
     def search(start):
         m = len(chosen)
         if m == k:

@@ -405,19 +405,19 @@ def _unit_bs_split(system, arg):
     i = int(arg)
     fam, rank = system.datum.family, system.datum.rank
     els = _lex_elements(system)
-    windows = {w: system.to_oneline(w) for w in els}
+    windows = {w: system.oneline_cached(w) for w in els}
+    names = _names(system)
     masks = {w: frozenset(p for p, v in enumerate(windows[w]) if v <= i)
              for w in els}
     out = []
     for u in els:
         mu_, wu = masks[u], windows[u]
-        us = _fmt(system, u)
         for v in els:
             if masks[v] != mu_:
                 continue
             res = brenti_simion(wu, windows[v], i)
-            out.append(Verdict("BS", fam, rank, f"split:{i}", us,
-                               _fmt(system, v), _poly_token(res.lhs),
+            out.append(Verdict("BS", fam, rank, f"split:{i}", names[u],
+                               names[v], _poly_token(res.lhs),
                                _poly_token(res.rhs), res.holds,
                                (("split", i),)))
     return out

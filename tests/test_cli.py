@@ -59,6 +59,18 @@ def test_phi_value_blocks(capsys):
     assert out == "3124\n"
 
 
+@pytest.mark.parametrize("type_, w, spec", [("A3", "4231", "positions:"),
+                                             ("B3", "1,2,3", "signed:")])
+def test_phi_empty_block_spec_is_trivial(capsys, type_, w, spec):
+    # no blocks is the trivial subgroup, whose flattening is empty
+    code, out, err = run(capsys, "phi", "--type", type_, "--w", w,
+                         "--parabolic", spec, "--format", "json")
+    assert code == 0, err
+    record = json.loads(out)
+    assert record["subgroup"] == "trivial"
+    assert record["flattened"] == "" and record["word"] == "e"
+
+
 def test_phi_signed_window(capsys):
     code, out, _ = run(capsys, "phi", "--type", "B4", "--w", "-4,2,1,-3",
                        "--parabolic", "unsigned")

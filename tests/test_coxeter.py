@@ -43,7 +43,7 @@ def test_length_is_inversion_count(b3):
         assert sent_negative == b3.length(w)
 
 
-@pytest.mark.parametrize("name", ["A3", "B3"])
+@pytest.mark.parametrize("name", ["A3", "A4", "B3"])
 def test_bruhat_matches_subword_oracle(name):
     system = get_system(name)
     elements = system.elements()

@@ -185,6 +185,14 @@ def test_embed_pattern_inverts_flatten(a4):
         embed_pattern(sub, (1, 2))
 
 
+@pytest.mark.parametrize("block_index", [2, -1])
+def test_embed_pattern_rejects_a_missing_block(a4, block_index):
+    # two blocks: an index past the end, or a negative one, names none
+    sub = parse_subgroup_spec(a4, "positions:1,3/2,5")
+    with pytest.raises(ParseError):
+        embed_pattern(sub, (2, 1), block_index)
+
+
 def test_flatten_classical_is_value_selection():
     assert flatten_classical(7, (1, 4, 6, 7), (6, 2, 1, 3, 4, 7, 5)) == \
         (3, 1, 2, 4)

@@ -8,9 +8,9 @@ from klbounds.cartan import CartanDatum
 from klbounds.coxeter import CoxeterSystem, build_system
 from klbounds.errors import EnumerationCapError, ParseError
 from klbounds.parabolic import all_parabolic_subgroups, parse_subgroup_spec
-from klbounds.verify import (SUITE_NAMES, _unit_coefficientwise,
-                             _unit_conjecture_p2, _unit_smoothness,
-                             canonical_json)
+from klbounds.verify import (SUITE_NAMES, _unit_bs_split,
+                             _unit_coefficientwise, _unit_conjecture_p2,
+                             _unit_smoothness, canonical_json)
 
 
 def _lines(result):
@@ -84,8 +84,12 @@ def test_coefficientwise_unit_work_counts(monkeypatch):
     assert counts["format_element"] <= 24
 
 
-@pytest.mark.parametrize("unit", [_unit_conjecture_p2, _unit_smoothness])
-def test_window_units_compute_each_window_once(monkeypatch, unit):
+@pytest.mark.parametrize("unit, arg", [
+    pytest.param(_unit_conjecture_p2, "0:120", id="_unit_conjecture_p2"),
+    pytest.param(_unit_smoothness, "0:120", id="_unit_smoothness"),
+    pytest.param(_unit_bs_split, "2", id="_unit_bs_split"),
+])
+def test_window_units_compute_each_window_once(monkeypatch, unit, arg):
     system = build_system(CartanDatum.standard("A", 4))
     calls = []
     to_oneline = CoxeterSystem.to_oneline
@@ -95,7 +99,7 @@ def test_window_units_compute_each_window_once(monkeypatch, unit):
         return to_oneline(self, w)
 
     monkeypatch.setattr(CoxeterSystem, "to_oneline", counted)
-    records = unit(system, "0:120")
+    records = unit(system, arg)
     assert records and all(rec.holds for rec in records)
     assert len(calls) == len(set(calls)) == 120
 
