@@ -20,15 +20,13 @@ group gives the product factorization credited to Brenti and Simion.
 Two ways of finding M serve the bounds.  main_bound scans the coset for
 each pair through the Bruhat order, except in family A, where
 _maxima_typeA enumerates W'x in one-line windows compared by the
-tableau criterion: the only window arithmetic left, as family A has no
-Bruhat order of its own.  The coefficientwise bound and the coset
-equality work per x instead (coefficientwise_bounds,
-parabolic_equalities): the hypothesis, phi(x) and the coset W'x with
-its pattern images u phi(x) are computed once, and for each w both
-Bruhat orders are read from built KL columns, whose keys are exactly
-the elements below their w.  The coset is built by generator steps
-through the ambient's tabulated left_mul, so no root images are
-multiplied on that path.
+tableau criterion.  The coefficientwise bound and the coset equality
+work per coset instead (coefficientwise_bounds, parabolic_equalities):
+M(x, w; W') and the hypothesis depend only on W'x and w, so each coset
+is built once, by generator steps through the ambient's tabulated
+left_mul, with its pattern images u phi(x), and scanned once per w,
+reading both Bruhat orders from built KL columns, whose keys are
+exactly the elements below their w.
 """
 
 from bisect import insort
@@ -316,31 +314,36 @@ def _coset_table(sub, x, phix):
     return table
 
 
-def coefficientwise_bounds(sub, x, ws):
-    """Degreewise form of the bound for one x, one report per w in ws.
+def _by_coset(sub, xs, what, prepare):
+    """Each x of xs with phi(x) and prepare(table) for its coset W'x.
 
-    Requires W' or x^{-1}W'x standard; the maximal set is then a single
-    element y and every coefficient of P_{y,w} * P'_{phi(x),phi(y)} is
-    compared against the matching coefficient of P_{x,w}.
-
-    The hypothesis, phi(x) and the coset W'x depend only on x, so they
-    are worked out once.  For each w the members of [1, w] intersect W'x
-    are the coset elements that key the KL column of w, and a pattern
-    image fy lies below fz exactly when it keys the subgroup's column of
-    fz, so the maxima scan tests neither Bruhat order directly.
+    (u x)^{-1} W' (u x) = x^{-1} W' x and phi(u x) = u phi(x), so the
+    first x of a coset checks the hypothesis, evaluates phi and builds
+    the table; later members read phi(x) from it.
     """
-    _require_standardness(sub, x, "the coefficientwise bound")
-    desc = describe_subgroup(sub)
-    phix = phi_root(sub, x)
+    seen = {}
+    for x in xs:
+        if x not in seen:
+            _require_standardness(sub, x, what)
+            table = _coset_table(sub, x, phi_root(sub, x))
+            state = prepare(table)
+            for y, fy in table:
+                seen[y] = fy, state
+        fx, state = seen[x]
+        yield x, fx, state
+
+
+def _coset_maxima(sub, table, ws):
+    """(column of w, y, subgroup column of phi(y)) per w of ws, with y the
+    one element of M(x, w; W'), or None when no member lies below w."""
     # decreasing subgroup length: an element is maximal iff no kept
     # maximum dominates its pattern, as in _maxima_with_images
-    table = _coset_table(sub, x, phix)
     table.sort(key=lambda pair: -sub.length(pair[1]))
     ambient_column = get_engine(sub.ambient).column
     sub_column = get_engine(sub).column
+    out = []
     for w in ws:
         colw = ambient_column(w)
-        # each maximum is kept with the subgroup column of its pattern
         maxima = []
         for y, fy in table:
             if y not in colw:
@@ -350,30 +353,46 @@ def coefficientwise_bounds(sub, x, ws):
                     break
             else:
                 maxima.append((y, sub_column(fy)))
-        if not maxima:
-            yield CoefficientwiseReport(x=x, w=w, subgroup=desc, y=None,
-                                        degrees=(), holds=True, empty=True)
-            continue
-        assert len(maxima) == 1, "standard hypothesis should force |M| = 1"
-        y, coly = maxima[0]
-        lhs_poly = colw.get(x, ZERO)
-        prod = colw[y] * coly.get(phix, ZERO)
-        top = max(lhs_poly.degree, prod.degree)
-        rows = []
-        ok = True
-        for k in range(top + 1):
-            lk, rk = lhs_poly[k], prod[k]
-            good = lk >= rk
-            ok = ok and good
-            rows.append((k, lk, rk, good))
-        yield CoefficientwiseReport(x=x, w=w, subgroup=desc, y=y,
-                                    degrees=tuple(rows), holds=ok,
-                                    empty=False)
+        assert len(maxima) <= 1, "standard hypothesis should force |M| = 1"
+        y, coly = maxima[0] if maxima else (None, None)
+        out.append((colw, y, coly))
+    return out
+
+
+def coefficientwise_bounds(sub, xs, ws):
+    """Degreewise form of the bound, one report per (x, w), x-major.
+
+    Requires W' or x^{-1}W'x standard for each x; the maximal set is
+    then a single element y and every coefficient of
+    P_{y,w} * P'_{phi(x),phi(y)} is compared against the matching
+    coefficient of P_{x,w}.
+
+    The work is done per coset (_by_coset): the maxima scan runs once
+    per coset and w, where the members of [1, w] intersect W'x are the
+    coset elements that key the KL column of w, and a pattern image fy
+    lies below fz exactly when it keys the subgroup's column of fz.
+    """
+    ws = tuple(ws)
+    desc = describe_subgroup(sub)
+    cosets = _by_coset(sub, xs, "the coefficientwise bound",
+                       lambda table: _coset_maxima(sub, table, ws))
+    for x, phix, found in cosets:
+        for w, (colw, y, coly) in zip(ws, found):
+            rows = []
+            if y is not None:
+                lhs_poly = colw.get(x, ZERO)
+                prod = colw[y] * coly.get(phix, ZERO)
+                for k in range(max(lhs_poly.degree, prod.degree) + 1):
+                    lk, rk = lhs_poly[k], prod[k]
+                    rows.append((k, lk, rk, lk >= rk))
+            yield CoefficientwiseReport(
+                x=x, w=w, subgroup=desc, y=y, degrees=tuple(rows),
+                holds=all(row[3] for row in rows), empty=y is None)
 
 
 def coefficientwise_bound(sub, x, w):
     """The degreewise bound for one pair; see coefficientwise_bounds."""
-    return next(coefficientwise_bounds(sub, x, (w,)))
+    return next(coefficientwise_bounds(sub, (x,), (w,)))
 
 
 def _coset_equality(sub, x, phix, w, fw):
@@ -399,16 +418,15 @@ def parabolic_equality(sub, x, w):
     return _coset_equality(sub, x, phix, w, amb.multiply(u, phix))
 
 
-def parabolic_equalities(sub, x):
-    """Pairs (w, parabolic_equality(sub, x, w)) for every w in W'x.
-
-    The hypothesis and phi(x) are worked out once; w runs over the coset
-    built from W', so membership needs no check.
+def parabolic_equalities(sub, xs):
+    """Triples (x, w, parabolic_equality(sub, x, w)), x-major, for each x
+    of xs and w in W'x; the coset work is done once per coset
+    (_by_coset), and w runs over its table, so needs no membership check.
     """
-    _require_standardness(sub, x, "the coset equality")
-    phix = phi_root(sub, x)
-    for w, fw in _coset_table(sub, x, phix):
-        yield w, _coset_equality(sub, x, phix, w, fw)
+    for x, phix, table in _by_coset(sub, xs, "the coset equality",
+                                    lambda table: table):
+        for w, fw in table:
+            yield x, w, _coset_equality(sub, x, phix, w, fw)
 
 
 def monotonicity_bound(sub, w):

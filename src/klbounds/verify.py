@@ -30,6 +30,7 @@ independent of the job count.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 import json
 import random
 import time
@@ -300,22 +301,22 @@ def _unit_coefficientwise(system, arg):
     fam, rank = system.datum.family, system.datum.rank
     els = _lex_elements(system)
     names = _names(system)
+    # few distinct polynomials, so each token is formatted once per unit
+    token = lru_cache(maxsize=None)(
+        lambda coeffs: _poly_token(IntPolynomial(coeffs)))
+    xs = [x for x in els if standardness_holds(sub, x)]
     out = []
-    for x in els:
-        if not standardness_holds(sub, x):
-            continue
-        xs = names[x]
-        for rep in coefficientwise_bounds(sub, x, els):
-            lhs = IntPolynomial(tuple(r[1] for r in rep.degrees))
-            rhs = IntPolynomial(tuple(r[2] for r in rep.degrees))
-            detail = (
-                ("degrees", [list(row) for row in rep.degrees]),
-                ("empty", rep.empty),
-                ("y", None if rep.y is None else names[rep.y]),
-            )
-            out.append(Verdict("COEFF", fam, rank, desc, xs, names[rep.w],
-                               _poly_token(lhs), _poly_token(rhs),
-                               rep.holds, detail))
+    for rep in coefficientwise_bounds(sub, xs, els):
+        detail = (
+            ("degrees", [list(row) for row in rep.degrees]),
+            ("empty", rep.empty),
+            ("y", None if rep.y is None else names[rep.y]),
+        )
+        out.append(Verdict("COEFF", fam, rank, desc, names[rep.x],
+                           names[rep.w],
+                           token(tuple(r[1] for r in rep.degrees)),
+                           token(tuple(r[2] for r in rep.degrees)),
+                           rep.holds, detail))
     return out
 
 
@@ -325,35 +326,30 @@ def _unit_parabolic_equality(system, arg):
     fam, rank = system.datum.family, system.datum.rank
     names = _names(system)
     ranks = _suite_ranks(system)
-    out = []
-    for x in _lex_elements(system):
-        if not standardness_holds(sub, x):
-            continue
-        xs = names[x]
-        results = sorted(parabolic_equalities(sub, x),
-                         key=lambda item: ranks[item[0]])
-        for w, res in results:
-            out.append(Verdict("PARABOLIC-EQ", fam, rank, desc, xs,
-                               names[w], _poly_token(res.lhs),
-                               _poly_token(res.rhs), res.holds))
-    return out
+    xs = [x for x in _lex_elements(system) if standardness_holds(sub, x)]
+    results = sorted(parabolic_equalities(sub, xs),
+                     key=lambda item: (ranks[item[0]], ranks[item[1]]))
+    return [Verdict("PARABOLIC-EQ", fam, rank, desc, names[x], names[w],
+                    _poly_token(res.lhs), _poly_token(res.rhs), res.holds)
+            for x, w, res in results]
 
 
 def _unit_monotonicity(system, arg):
     sub = parse_subgroup_spec(system, arg)
     desc = describe_subgroup(sub)
     fam, rank = system.datum.family, system.datum.rank
+    names = _names(system)
     out = []
     for w in _lex_elements(system):
         rep = monotonicity_bound(sub, w)
         detail = (
-            ("coset_min", _fmt(system, rep.coset_min)),
+            ("coset_min", names[rep.coset_min]),
             ("mid", rep.mid),
-            ("phi_w", _fmt(system, rep.phi_w)),
+            ("phi_w", names[rep.phi_w]),
         )
-        out.append(Verdict("MONO", fam, rank, desc,
-                           _fmt(system, rep.coset_min), _fmt(system, w),
-                           str(rep.lhs), str(rep.rhs), rep.holds, detail))
+        out.append(Verdict("MONO", fam, rank, desc, names[rep.coset_min],
+                           names[w], str(rep.lhs), str(rep.rhs), rep.holds,
+                           detail))
     return out
 
 
@@ -363,10 +359,11 @@ def _unit_coset_theorem(system, arg):
     fam, rank = system.datum.family, system.datum.rank
     els = _lex_elements(system)
     subels = _lex_elements(sub)
+    names = _names(system)
     phi = {x: phi_root(sub, x) for x in els}
     out = []
     for x in els:
-        xs = _fmt(system, x)
+        xs = names[x]
         fx = phi[x]
         eq_fail = ord_fail = iff_fail = 0
         for u in subels:
@@ -389,7 +386,7 @@ def _unit_coset_theorem(system, arg):
                                count, str(iff_fail), iff_fail == 0))
         other = phi_coset(sub, x)
         out.append(Verdict("COSET-AGREE", fam, rank, desc, xs, "-",
-                           _fmt(system, fx), _fmt(system, other),
+                           names[fx], names[other],
                            fx == other))
     fixed = sum(1 for u in subels if phi[u] == u)
     out.append(Verdict("COSET-RESTRICT", fam, rank, desc, "-", "-",
@@ -469,14 +466,15 @@ def _unit_inv_range(system, arg):
     fam, rank = system.datum.family, system.datum.rank
     engine = get_engine(system)
     els = _lex_elements(system)
+    names = _names(system)
     out = []
     for x in els[lo:hi]:
-        xs = _fmt(system, x)
+        xs = names[x]
         for w in els:
             lhs, rhs = engine.inversion_identity(x, w)
             detail = (() if system.bruhat_leq(x, w)
                       else (("comparable", False),))
-            out.append(Verdict("KL-INV", fam, rank, "-", xs, _fmt(system, w),
+            out.append(Verdict("KL-INV", fam, rank, "-", xs, names[w],
                                _poly_token(lhs), _poly_token(rhs),
                                lhs == rhs, detail))
     return out

@@ -147,7 +147,7 @@ def test_coefficientwise_bounds_match_maximal_set(name, spec):
             if not standardness_holds(sub, x):
                 continue
             eligible += 1
-            reps = list(coefficientwise_bounds(sub, x, els))
+            reps = list(coefficientwise_bounds(sub, (x,), els))
             assert [rep.w for rep in reps] == list(els)
             for w, rep in zip(els, reps):
                 _check_report(sub, x, w, rep, maximal_set(sub, x, w))
@@ -192,7 +192,7 @@ def test_coefficientwise_bounds_match_maxima_oracle(name, spec, samples):
                   (els[rng.randrange(len(els))],)) for _ in range(samples)]
     assert pairs
     for sub, x, ws in pairs:
-        for w, rep in zip(ws, coefficientwise_bounds(sub, x, ws),
+        for w, rep in zip(ws, coefficientwise_bounds(sub, (x,), ws),
                           strict=True):
             _check_report(sub, x, w, rep, maxima_oracle(sub, x, w))
 
@@ -225,9 +225,10 @@ def test_parabolic_equalities_match_parabolic_equality(name):
         for x in system.elements():
             if not standardness_holds(sub, x):
                 with pytest.raises(HypothesisError):
-                    next(parabolic_equalities(sub, x))
+                    next(parabolic_equalities(sub, (x,)))
                 continue
-            results = dict(parabolic_equalities(sub, x))
+            results = {w: res for _, w, res in
+                       parabolic_equalities(sub, (x,))}
             assert set(results) == {system.multiply(u, x) for u in subels}
             assert len(results) == len(subels)
             phix = phi_root(sub, x)
@@ -337,3 +338,64 @@ def test_window_maxima_match_generic_scan_sampled(a4):
             x = rng.choice(els)
             w = rng.choice(els)
             assert _maxima_typeA(sub, x, w) == _maxima_generic(sub, x, w)
+
+
+@pytest.mark.parametrize("name,spec", [
+    ("A3", None), ("B3", None), ("A3", "refl:1-3,2-4"),
+], ids=["A3-standard", "B3-standard", "A3-refl"])
+def test_coefficientwise_bounds_over_many_x_match_single_x(name, spec):
+    # the first x of a coset does the coset's work for the later ones,
+    # so visit the cosets from both ends
+    system = get_system(name)
+    if spec is None:
+        subs = standard_parabolic_subgroups(system)
+    else:
+        subs = [parse_subgroup_spec(system, spec)]
+    els = system.elements()
+    for sub in subs:
+        xs = [x for x in els if standardness_holds(sub, x)]
+        assert xs
+        single = {x: list(coefficientwise_bounds(sub, (x,), els))
+                  for x in xs}
+        for order in (xs, xs[::-1]):
+            assert list(coefficientwise_bounds(sub, order, els)) == [
+                rep for x in order for rep in single[x]]
+
+
+@pytest.mark.parametrize("name", ["A3", "B3"])
+def test_parabolic_equalities_over_many_x_match_single_x(name):
+    system = get_system(name)
+    for sub in all_parabolic_subgroups(system):
+        xs = [x for x in system.elements() if standardness_holds(sub, x)]
+        for order in (xs, xs[::-1]):
+            many = list(parabolic_equalities(sub, order))
+            assert [x for x, _, _ in many] == [
+                x for x in order for _ in range(sub.order())]
+            single = {(x, w): res for x in order
+                      for _, w, res in parabolic_equalities(sub, (x,))}
+            assert {(x, w): res for x, w, res in many} == single
+            assert len(many) == len(single)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3"])
+def test_standardness_is_constant_on_cosets(name):
+    # constant along each generator step of W', hence on each coset
+    system = get_system(name)
+    for sub in all_parabolic_subgroups(system):
+        for x in system.elements():
+            held = standardness_holds(sub, x)
+            for s in sub.simple_reflections:
+                assert standardness_holds(sub, system.multiply(s, x)) == held
+
+
+def test_many_x_with_a_nonstandard_x_raise(a3):
+    sub = parse_subgroup_spec(a3, "refl:1-3,2-4")
+    els = a3.elements()
+    good = [x for x in els if standardness_holds(sub, x)]
+    bad = [x for x in els if not standardness_holds(sub, x)]
+    assert good and bad
+    for xs in ([bad[0]], good + bad[:1], bad[:1] + good):
+        with pytest.raises(HypothesisError):
+            list(coefficientwise_bounds(sub, xs, els))
+        with pytest.raises(HypothesisError):
+            list(parabolic_equalities(sub, xs))

@@ -8,8 +8,11 @@ from klbounds.cartan import CartanDatum
 from klbounds.coxeter import CoxeterSystem, build_system
 from klbounds.errors import EnumerationCapError, ParseError
 from klbounds.parabolic import all_parabolic_subgroups, parse_subgroup_spec
+from klbounds import bounds
 from klbounds.verify import (SUITE_NAMES, _unit_bs_split,
                              _unit_coefficientwise, _unit_conjecture_p2,
+                             _unit_coset_theorem, _unit_inv_range,
+                             _unit_monotonicity, _unit_parabolic_equality,
                              _unit_smoothness, canonical_json)
 
 
@@ -84,10 +87,35 @@ def test_coefficientwise_unit_work_counts(monkeypatch):
     assert counts["format_element"] <= 24
 
 
+@pytest.mark.parametrize("unit", [_unit_coefficientwise,
+                                  _unit_parabolic_equality])
+@pytest.mark.parametrize("arg, cosets", [("full", 1), ("standard:s1", 12)])
+def test_coset_units_work_once_per_coset(monkeypatch, unit, arg, cosets):
+    # a fresh system, so no memo from another test hides the work
+    system = build_system(CartanDatum.standard("A", 3))
+    counts = {"_coset_table": 0, "phi_root": 0}
+    for attr in counts:
+        original = getattr(bounds, attr)
+
+        def counted(*args, _original=original, _attr=attr):
+            counts[_attr] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(bounds, attr, counted)
+    records = unit(system, arg)
+    assert records and all(rec.holds for rec in records)
+    assert counts == {"_coset_table": cosets, "phi_root": cosets}
+
+
 @pytest.mark.parametrize("unit, arg", [
     pytest.param(_unit_conjecture_p2, "0:120", id="_unit_conjecture_p2"),
     pytest.param(_unit_smoothness, "0:120", id="_unit_smoothness"),
     pytest.param(_unit_bs_split, "2", id="_unit_bs_split"),
+    pytest.param(_unit_monotonicity, "standard:s1,s2",
+                 id="_unit_monotonicity"),
+    pytest.param(_unit_coset_theorem, "standard:s1,s2",
+                 id="_unit_coset_theorem"),
+    pytest.param(_unit_inv_range, "0:8", id="_unit_inv_range"),
 ])
 def test_window_units_compute_each_window_once(monkeypatch, unit, arg):
     system = build_system(CartanDatum.standard("A", 4))
