@@ -276,11 +276,14 @@ def standardness_holds(sub, x):
     return sub.is_standard or conjugate_is_standard(sub, x)
 
 
-def _require_standardness(sub, x, what):
-    if not standardness_holds(sub, x):
+def _check_standardness(sub, x, what, skip=False):
+    """standardness_holds(sub, x); False only under skip, else raises."""
+    holds = standardness_holds(sub, x)
+    if not (holds or skip):
         raise HypothesisError(
             f"{what} needs the subgroup, or its conjugate by the test "
             "element, to be standard")
+    return holds
 
 
 def _coset_table(sub, x, phix):
@@ -314,23 +317,25 @@ def _coset_table(sub, x, phix):
     return table
 
 
-def _by_coset(sub, xs, what, prepare):
+def _by_coset(sub, xs, what, prepare, skip_nonstandard):
     """Each x of xs with phi(x) and prepare(table) for its coset W'x.
 
     (u x)^{-1} W' (u x) = x^{-1} W' x and phi(u x) = u phi(x), so the
     first x of a coset checks the hypothesis, evaluates phi and builds
-    the table; later members read phi(x) from it.
+    the table; later members read phi(x) from it.  A coset that fails
+    the hypothesis raises, or is left out under skip_nonstandard.
     """
     seen = {}
     for x in xs:
         if x not in seen:
-            _require_standardness(sub, x, what)
+            holds = _check_standardness(sub, x, what, skip_nonstandard)
             table = _coset_table(sub, x, phi_root(sub, x))
-            state = prepare(table)
+            state = prepare(table) if holds else None
             for y, fy in table:
                 seen[y] = fy, state
         fx, state = seen[x]
-        yield x, fx, state
+        if state is not None:
+            yield x, fx, state
 
 
 def _coset_maxima(sub, table, ws):
@@ -359,11 +364,12 @@ def _coset_maxima(sub, table, ws):
     return out
 
 
-def coefficientwise_bounds(sub, xs, ws):
+def coefficientwise_bounds(sub, xs, ws, skip_nonstandard=False):
     """Degreewise form of the bound, one report per (x, w), x-major.
 
-    Requires W' or x^{-1}W'x standard for each x; the maximal set is
-    then a single element y and every coefficient of
+    Requires W' or x^{-1}W'x standard for each x (under
+    skip_nonstandard, the xs that fail it are left out); the maximal
+    set is then a single element y and every coefficient of
     P_{y,w} * P'_{phi(x),phi(y)} is compared against the matching
     coefficient of P_{x,w}.
 
@@ -375,7 +381,8 @@ def coefficientwise_bounds(sub, xs, ws):
     ws = tuple(ws)
     desc = describe_subgroup(sub)
     cosets = _by_coset(sub, xs, "the coefficientwise bound",
-                       lambda table: _coset_maxima(sub, table, ws))
+                       lambda table: _coset_maxima(sub, table, ws),
+                       skip_nonstandard)
     for x, phix, found in cosets:
         for w, (colw, y, coly) in zip(ws, found):
             rows = []
@@ -408,7 +415,7 @@ def parabolic_equality(sub, x, w):
     Requires the standardness hypothesis and w in W'x.  Returns both
     sides and whether they agree.
     """
-    _require_standardness(sub, x, "the coset equality")
+    _check_standardness(sub, x, "the coset equality")
     amb = sub.ambient
     u = amb.multiply(w, amb.inverse(x))
     if not sub.contains(u):
@@ -418,13 +425,14 @@ def parabolic_equality(sub, x, w):
     return _coset_equality(sub, x, phix, w, amb.multiply(u, phix))
 
 
-def parabolic_equalities(sub, xs):
+def parabolic_equalities(sub, xs, skip_nonstandard=False):
     """Triples (x, w, parabolic_equality(sub, x, w)), x-major, for each x
     of xs and w in W'x; the coset work is done once per coset
     (_by_coset), and w runs over its table, so needs no membership check.
+    Under skip_nonstandard, the xs that fail the hypothesis are left out.
     """
     for x, phix, table in _by_coset(sub, xs, "the coset equality",
-                                    lambda table: table):
+                                    lambda table: table, skip_nonstandard):
         for w, fw in table:
             yield x, w, _coset_equality(sub, x, phix, w, fw)
 

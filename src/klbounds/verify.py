@@ -36,8 +36,7 @@ import random
 import time
 
 from .bounds import (brenti_simion, coefficientwise_bounds, main_bound,
-                     monotonicity_bound, parabolic_equalities,
-                     standardness_holds)
+                     monotonicity_bound, parabolic_equalities)
 from .cartan import weyl_group_order
 from .coxeter import DEFAULT_ENUM_CAP, get_system, system_type
 from .errors import EnumerationCapError, ParseError
@@ -128,8 +127,8 @@ class SuiteResult:
         return sum(1 for r in self.records if not r.holds)
 
     def summary_line(self):
-        return (f"checked={self.checked} failed={self.failed} "
-                f"elapsed={self.elapsed:.2f}s")
+        return format_summary(self.suite, self.checked, self.failed,
+                              self.elapsed)
 
 
 @dataclass(frozen=True)
@@ -146,6 +145,15 @@ class Unit:
 def canonical_json(obj):
     """The one JSON rendering used everywhere: sorted keys, no spaces."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def format_summary(suite, checked, failed, elapsed, fmt="text"):
+    """The summary line of a suite run, in text or JSON form."""
+    if fmt == "text":
+        return f"checked={checked} failed={failed} elapsed={elapsed:.2f}s"
+    return canonical_json({"schema": SUMMARY_SCHEMA, "suite": suite,
+                           "checked": checked, "failed": failed,
+                           "elapsed": round(elapsed, 3)})
 
 
 # -- element and token helpers
@@ -304,9 +312,8 @@ def _unit_coefficientwise(system, arg):
     # few distinct polynomials, so each token is formatted once per unit
     token = lru_cache(maxsize=None)(
         lambda coeffs: _poly_token(IntPolynomial(coeffs)))
-    xs = [x for x in els if standardness_holds(sub, x)]
     out = []
-    for rep in coefficientwise_bounds(sub, xs, els):
+    for rep in coefficientwise_bounds(sub, els, els, skip_nonstandard=True):
         detail = (
             ("degrees", [list(row) for row in rep.degrees]),
             ("empty", rep.empty),
@@ -326,8 +333,8 @@ def _unit_parabolic_equality(system, arg):
     fam, rank = system.datum.family, system.datum.rank
     names = _names(system)
     ranks = _suite_ranks(system)
-    xs = [x for x in _lex_elements(system) if standardness_holds(sub, x)]
-    results = sorted(parabolic_equalities(sub, xs),
+    results = sorted(parabolic_equalities(sub, _lex_elements(system),
+                                          skip_nonstandard=True),
                      key=lambda item: (ranks[item[0]], ranks[item[1]]))
     return [Verdict("PARABOLIC-EQ", fam, rank, desc, names[x], names[w],
                     _poly_token(res.lhs), _poly_token(res.rhs), res.holds)
@@ -485,14 +492,15 @@ def _unit_sym_range(system, arg):
     fam, rank = system.datum.family, system.datum.rank
     engine = get_engine(system)
     els = _lex_elements(system)
+    names = _names(system)
     out = []
     for x in els[lo:hi]:
-        xs = _fmt(system, x)
+        xs = names[x]
         xi = system.inverse(x)
         for w in els:
             direct = engine.polynomial(x, w)
             flipped = engine.polynomial(xi, system.inverse(w))
-            out.append(Verdict("KL-SYM", fam, rank, "-", xs, _fmt(system, w),
+            out.append(Verdict("KL-SYM", fam, rank, "-", xs, names[w],
                                _poly_token(flipped), _poly_token(direct),
                                flipped == direct))
     return out
@@ -504,6 +512,7 @@ def _unit_descent_sample(system, arg):
     low = get_engine(system, "lowest")
     high = get_engine(system, "highest")
     els = system.elements()
+    names = _names(system)
     rng = random.Random(f"{fam}{rank}:descent")
     out = []
     for _ in range(samples):
@@ -511,8 +520,8 @@ def _unit_descent_sample(system, arg):
         w = els[rng.randrange(len(els))]
         a = low.polynomial(x, w)
         b = high.polynomial(x, w)
-        out.append(Verdict("KL-DESCENT", fam, rank, "-", _fmt(system, x),
-                           _fmt(system, w), _poly_token(a), _poly_token(b),
+        out.append(Verdict("KL-DESCENT", fam, rank, "-", names[x],
+                           names[w], _poly_token(a), _poly_token(b),
                            a == b, (("rules", ["lowest", "highest"]),)))
     return out
 
@@ -538,13 +547,15 @@ def run_unit(unit):
     return _RUNNERS[(unit.suite, unit.kind)](system, unit.arg)
 
 
-def run_suite(suite, type_text, rank=None, parabolic=None, slow=False,
-              jobs=1, cap=None):
-    """Run one named suite and return its SuiteResult.
+def suite_chunks(suite, type_text, rank=None, parabolic=None, slow=False,
+                 jobs=1, cap=None):
+    """Build the units of one named suite and return a generator that
+    runs them, yielding each unit's record list in unit order.
 
-    With jobs > 1 the units go to a pool of that many worker processes.
-    A cap below the group order raises EnumerationCapError; jobs or a cap
-    below 1 raise ParseError.
+    With jobs > 1 the units go to a pool of that many worker processes;
+    closing the generator cancels those not yet started.  A bad request
+    raises before this returns: EnumerationCapError for a cap below the
+    group order, ParseError for jobs or a cap below 1.
     """
     if jobs < 1:
         raise ParseError(f"jobs must be at least 1, got {jobs}")
@@ -553,17 +564,28 @@ def run_suite(suite, type_text, rank=None, parabolic=None, slow=False,
     family, rank = system_type(type_text, rank)
     # the units run on the shared system, so its own cap bounds any cap
     _check_request(suite, family, rank, slow, cap, DEFAULT_ENUM_CAP)
-    system = get_system(family, rank)
-    units = build_units(suite, system, parabolic=parabolic, slow=slow,
-                        cap=cap)
+    units = build_units(suite, get_system(family, rank),
+                        parabolic=parabolic, slow=slow, cap=cap)
+    if jobs == 1:
+        return (run_unit(unit) for unit in units)
+    return _pooled(units, jobs)
+
+
+def _pooled(units, jobs):
+    from concurrent.futures import ProcessPoolExecutor
+    pool = ProcessPoolExecutor(max_workers=jobs)
+    try:
+        yield from pool.map(run_unit, units)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def run_suite(suite, type_text, rank=None, parabolic=None, slow=False,
+              jobs=1, cap=None):
+    """Run one named suite and collect its SuiteResult; see suite_chunks."""
+    chunks = suite_chunks(suite, type_text, rank, parabolic, slow, jobs, cap)
     start = time.perf_counter()
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(run_unit, units))
-    else:
-        chunks = [run_unit(u) for u in units]
     records = tuple(rec for chunk in chunks for rec in chunk)
     elapsed = time.perf_counter() - start
-    return SuiteResult(suite, system.datum.family, system.datum.rank,
-                       records, elapsed)
+    family, rank = system_type(type_text, rank)
+    return SuiteResult(suite, family, rank, records, elapsed)

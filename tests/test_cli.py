@@ -1,6 +1,8 @@
+import io
 import json
 import os
 from pathlib import Path
+import re
 import resource
 import subprocess
 import sys
@@ -8,7 +10,8 @@ import sys
 import pytest
 
 from klbounds.cli import main
-from klbounds.verify import SuiteResult, Verdict
+from klbounds import verify
+from klbounds.verify import Verdict
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -143,10 +146,8 @@ def test_verify_csv_output(capsys):
 def test_verify_failure_exit_code(capsys, monkeypatch):
     bad = Verdict("MAIN", "A", "2", "trivial", "123", "123", "0", "1",
                   False)
-    fake = SuiteResult(suite="main-theorem", family="A", rank=2,
-                       records=(bad,), elapsed=0.0)
-    monkeypatch.setattr("klbounds.cli.run_suite",
-                        lambda *a, **k: fake)
+    monkeypatch.setattr("klbounds.cli.suite_chunks",
+                        lambda *a, **k: (chunk for chunk in [[bad]]))
     code, out, _ = run(capsys, "verify", "main-theorem", "--type", "A2")
     assert code == 1
     assert "FAILS" in out
@@ -287,9 +288,41 @@ def test_jobs_below_one_is_usage_error(capsys, jobs):
     assert "jobs must be at least 1" in err
 
 
-def test_broken_pipe_exits_quietly(monkeypatch):
-    import sys
+def _strip_elapsed(out):
+    return re.sub(r'elapsed=[0-9.]+s|"elapsed":[0-9.]+', "", out)
 
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_verify_output_is_the_same_for_any_job_count(capsys, fmt):
+    outs = []
+    for jobs in ("1", "2"):
+        code, out, _ = run(capsys, "verify", "main-theorem", "--type", "A3",
+                           "--format", fmt, "--jobs", jobs)
+        assert code == 0
+        outs.append(_strip_elapsed(out))
+    assert outs[0] == outs[1]
+    assert outs[0].count("\n") > 15 * 24 * 24
+
+
+def test_verify_writes_each_unit_before_the_next_runs(monkeypatch):
+    out = io.StringIO()
+    key = ("monotonicity", "subgroup")
+    runner = verify._RUNNERS[key]
+    lines_at_start = []
+
+    def wrapped(system, arg):
+        lines_at_start.append(out.getvalue().count("\n"))
+        return runner(system, arg)
+
+    monkeypatch.setitem(verify._RUNNERS, key, wrapped)
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["verify", "monotonicity", "--type", "A2"]) == 0
+    # one record per element of A2 in each subgroup's unit
+    assert len(lines_at_start) > 1
+    assert lines_at_start == [6 * k for k in range(len(lines_at_start))]
+
+
+def test_broken_pipe_exits_quietly(capsys, monkeypatch):
     class ClosedPipe:
         def write(self, *_):
             raise BrokenPipeError
@@ -298,9 +331,32 @@ def test_broken_pipe_exits_quietly(monkeypatch):
             raise BrokenPipeError
 
     monkeypatch.setattr(sys, "stdout", ClosedPipe())
-    rc = main(["verify", "main-theorem", "--type", "A2",
-               "--format", "csv"])
-    assert rc == 141
+    for jobs in ("1", "2"):
+        for fmt in ("text", "json", "csv"):
+            rc = main(["verify", "main-theorem", "--type", "A2",
+                       "--format", fmt, "--jobs", jobs])
+            assert rc == 141, (jobs, fmt)
+            assert capsys.readouterr().err == "", (jobs, fmt)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_reader_closing_early_ends_the_run(jobs):
+    # like verify ... | head -1: B3 has 24 units, one line is enough
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "klbounds.cli", "verify", "main-theorem",
+         "--type", "B3", "--jobs", jobs],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"MAIN B 3 ")
+    proc.stdout.close()
+    try:
+        assert proc.wait(timeout=60) == 141
+    finally:
+        proc.kill()
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def _limit_address_space():

@@ -1,3 +1,4 @@
+from concurrent.futures import ProcessPoolExecutor
 import json
 
 import pytest
@@ -11,9 +12,11 @@ from klbounds.parabolic import all_parabolic_subgroups, parse_subgroup_spec
 from klbounds import bounds
 from klbounds.verify import (SUITE_NAMES, _unit_bs_split,
                              _unit_coefficientwise, _unit_conjecture_p2,
-                             _unit_coset_theorem, _unit_inv_range,
+                             _unit_coset_theorem, _unit_descent_sample,
+                             _unit_inv_range,
                              _unit_monotonicity, _unit_parabolic_equality,
-                             _unit_smoothness, canonical_json)
+                             _unit_smoothness, _unit_sym_range,
+                             canonical_json, suite_chunks)
 
 
 def _lines(result):
@@ -107,6 +110,41 @@ def test_coset_units_work_once_per_coset(monkeypatch, unit, arg, cosets):
     assert counts == {"_coset_table": cosets, "phi_root": cosets}
 
 
+@pytest.mark.parametrize("unit", [_unit_coefficientwise,
+                                  _unit_parabolic_equality])
+def test_coset_units_check_standardness_once_per_coset(monkeypatch, unit):
+    system = build_system(CartanDatum.standard("A", 4))
+    calls = []
+    original = bounds.conjugate_is_standard
+
+    def counted(sub, x):
+        calls.append(x)
+        return original(sub, x)
+
+    monkeypatch.setattr(bounds, "conjugate_is_standard", counted)
+    records = unit(system, "conj:s2|s1,s3")
+    assert records and all(rec.holds for rec in records)
+    # W' has 4 elements, so the 120 elements of A4 form 30 cosets
+    assert len(calls) == len(set(calls)) == 30
+
+
+def test_closing_a_pooled_run_cancels_its_pending_units(monkeypatch):
+    futures = []
+    submit = ProcessPoolExecutor.submit
+
+    def recorded(self, *args, **kwargs):
+        futures.append(submit(self, *args, **kwargs))
+        return futures[-1]
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", recorded)
+    chunks = suite_chunks("main-theorem", "B3", jobs=2)
+    assert len(next(chunks)) == 48 * 48
+    chunks.close()
+    # 24 subgroup units; only the few already handed to a worker run on
+    assert len(futures) == 24
+    assert sum(f.cancelled() for f in futures) >= 12
+
+
 @pytest.mark.parametrize("unit, arg", [
     pytest.param(_unit_conjecture_p2, "0:120", id="_unit_conjecture_p2"),
     pytest.param(_unit_smoothness, "0:120", id="_unit_smoothness"),
@@ -116,6 +154,8 @@ def test_coset_units_work_once_per_coset(monkeypatch, unit, arg, cosets):
     pytest.param(_unit_coset_theorem, "standard:s1,s2",
                  id="_unit_coset_theorem"),
     pytest.param(_unit_inv_range, "0:8", id="_unit_inv_range"),
+    pytest.param(_unit_sym_range, "0:8", id="_unit_sym_range"),
+    pytest.param(_unit_descent_sample, "50", id="_unit_descent_sample"),
 ])
 def test_window_units_compute_each_window_once(monkeypatch, unit, arg):
     system = build_system(CartanDatum.standard("A", 4))
