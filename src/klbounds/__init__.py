@@ -28,8 +28,7 @@ from .cartan import (CartanDatum, standard_cartan_matrix, parse_type,
                      weyl_group_order)
 from .coxeter import (CoxeterSystem, GroupElement, build_system,
                       get_system, parse_element, format_element)
-from .kl import (kl_polynomial, mu, r_polynomial, kl_table,
-                 verify_inversion_identity)
+from .kl import kl_polynomial
 from .parabolic import (ParabolicSubgroup, parabolic_from_reflections,
                         standard_parabolic, position_subgroup,
                         unsigned_subgroup, parse_subgroup_spec,
@@ -39,8 +38,7 @@ from .parabolic import (ParabolicSubgroup, parabolic_from_reflections,
                         embed_pattern, flatten_classical,
                         flatten_matches_phi)
 from .patterns import (flatten, pattern_witness, contains_pattern,
-                       avoids_patterns, PatternQuery,
-                       is_rationally_smooth_typeA,
+                       avoids_patterns, is_rationally_smooth_typeA,
                        is_321_hexagon_avoiding, conjecture_p2_patterns)
 from .bounds import (BoundReport, CoefficientwiseReport,
                      MonotonicityReport, EqualityResult,
@@ -58,9 +56,7 @@ __all__ = [
     "CartanDatum", "standard_cartan_matrix", "parse_type",
     "weyl_group_order",
     "CoxeterSystem", "GroupElement", "build_system", "get_system",
-    "parse_element", "format_element",
-    "kl_polynomial", "mu", "r_polynomial", "kl_table",
-    "verify_inversion_identity",
+    "parse_element", "format_element", "kl_polynomial",
     "ParabolicSubgroup", "parabolic_from_reflections",
     "standard_parabolic", "position_subgroup", "unsigned_subgroup",
     "parse_subgroup_spec", "describe_subgroup",
@@ -68,7 +64,7 @@ __all__ = [
     "coset_minimum", "phi_root", "phi_coset", "flatten_element",
     "embed_pattern", "flatten_classical", "flatten_matches_phi",
     "flatten", "pattern_witness", "contains_pattern", "avoids_patterns",
-    "PatternQuery", "is_rationally_smooth_typeA",
+    "is_rationally_smooth_typeA",
     "is_321_hexagon_avoiding", "conjecture_p2_patterns",
     "BoundReport", "CoefficientwiseReport", "MonotonicityReport",
     "EqualityResult", "maximal_set", "main_bound",

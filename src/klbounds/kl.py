@@ -203,19 +203,3 @@ def kl_polynomial(ctx, x, w):
     """P_{x,w} in the given context."""
     return get_engine(ctx).polynomial(x, w)
 
-
-def mu(ctx, x, w):
-    return get_engine(ctx).mu(x, w)
-
-
-def r_polynomial(ctx, x, w):
-    return get_engine(ctx).r_polynomial(x, w)
-
-
-def verify_inversion_identity(ctx, x, w):
-    lhs, rhs = get_engine(ctx).inversion_identity(x, w)
-    return lhs == rhs
-
-
-def kl_table(ctx, w):
-    return get_engine(ctx).table(w)

@@ -7,8 +7,6 @@ value-set flattening used by the pattern map lives in the parabolic module
 and the two are related by a duality covered in the tests.
 """
 
-from dataclasses import dataclass, field
-
 
 def flatten(seq):
     """The permutation with the same relative order as seq.
@@ -82,30 +80,6 @@ def contains_pattern(w, v, return_witness=False):
 def avoids_patterns(w, patterns):
     """True when w contains none of the given patterns."""
     return all(not contains_pattern(w, v) for v in patterns)
-
-
-@dataclass
-class PatternQuery:
-    """A batch containment query against several patterns."""
-
-    target: tuple
-    patterns: tuple
-    witness_wanted: bool = False
-    results: list = field(default_factory=list)
-
-    def run(self):
-        self.results = []
-        target = _coerce_perm(self.target)
-        for v in self.patterns:
-            v = _coerce_perm(v)
-            if len(v) > len(target):
-                raise ValueError("pattern longer than target")
-            if self.witness_wanted:
-                found, wit = contains_pattern(target, v, return_witness=True)
-                self.results.append((v, found, wit))
-            else:
-                self.results.append((v, contains_pattern(target, v), None))
-        return self.results
 
 
 SMOOTHNESS_PATTERNS = ((4, 2, 3, 1), (3, 4, 1, 2))

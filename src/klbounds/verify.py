@@ -27,10 +27,15 @@ Randomized parts (the descent-rule cross-check) derive their seed from
 the group type alone.  Suites split into independent units so a worker
 pool can run them; results merge in unit order, making reports
 independent of the job count.
+
+A suite is one entry of ``SUITES`` plus its unit runners; the request
+checks, the unit lists and the CLI choices all read that table.  A test
+checks the README's suite table against it, so a new suite adds a row.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 import json
 import random
 import time
@@ -47,18 +52,6 @@ from .parabolic import (all_parabolic_subgroups, describe_subgroup,
 from .patterns import conjecture_p2_patterns, is_rationally_smooth_typeA
 from .polynomials import IntPolynomial, ONE
 
-SUITE_NAMES = (
-    "main-theorem",
-    "coefficientwise",
-    "parabolic-equality",
-    "brenti-simion",
-    "monotonicity",
-    "coset-theorem",
-    "smoothness",
-    "inversion-identity",
-    "conjecture-p2",
-)
-
 VERDICT_SCHEMA = "klbounds.verdict/1"
 SUMMARY_SCHEMA = "klbounds.summary/1"
 
@@ -70,8 +63,6 @@ SLOW_ORDER_LIMIT = 1000
 INVERSION_ORDER_LIMIT = 100
 SYMMETRY_ORDER_LIMIT = 400
 DESCENT_SAMPLES = 1000
-
-_A_ONLY = ("brenti-simion", "smoothness", "conjecture-p2")
 
 
 @dataclass(frozen=True)
@@ -201,21 +192,6 @@ def _suite_ranks(system):
         w: k for k, w in enumerate(_lex_elements(system))})
 
 
-def _ranges(count, pieces=16):
-    step = max(1, -(-count // pieces))
-    return [(lo, min(lo + step, count)) for lo in range(0, count, step)]
-
-
-def _subgroup_specs(system, suite, parabolic):
-    if parabolic is not None:
-        return [describe_subgroup(parse_subgroup_spec(system, parabolic))]
-    if suite in ("coefficientwise", "parabolic-equality"):
-        subs = standard_parabolic_subgroups(system)
-    else:
-        subs = all_parabolic_subgroups(system)
-    return [describe_subgroup(s) for s in subs]
-
-
 # -- suite units
 
 def _check_request(suite, fam, rank, slow, cap, limit):
@@ -225,10 +201,10 @@ def _check_request(suite, fam, rank, slow, cap, limit):
     enumeration cap (``cap`` or ``limit``, the cap of the system the
     units run on, whichever is lower) is refused.
     """
-    if suite not in SUITE_NAMES:
+    if suite not in SUITES:
         raise ParseError(f"unknown suite {suite!r}; "
                          f"choose one of {', '.join(SUITE_NAMES)}")
-    if suite in _A_ONLY and fam != "A":
+    if SUITES[suite].a_only and fam != "A":
         raise ParseError(f"suite {suite} is about symmetric groups; "
                          f"it needs family A, not {fam}")
     order = weyl_group_order(fam, rank)
@@ -255,36 +231,40 @@ def build_units(suite, system, parabolic=None, slow=False, cap=None):
     fam = system.datum.family
     rank = system.datum.rank
     order = _check_request(suite, fam, rank, slow, cap, system.enum_cap)
-
-    def unit(kind, arg):
-        return Unit(suite, fam, rank, kind, arg)
-
-    if suite in ("main-theorem", "coefficientwise", "parabolic-equality",
-                 "monotonicity", "coset-theorem"):
-        return [unit("subgroup", spec)
-                for spec in _subgroup_specs(system, suite, parabolic)]
+    parts = SUITES[suite].parts
     if parabolic is not None:
-        raise ParseError(f"suite {suite} does not take a subgroup")
-    if suite == "brenti-simion":
-        points = rank + 1
-        return [unit("bs-split", str(i)) for i in range(1, points)]
-    if suite in ("smoothness", "conjecture-p2"):
-        return [unit("w-range", f"{lo}:{hi}") for lo, hi in _ranges(order)]
-    # inversion-identity: three parts, each sized to what it costs
-    units = []
-    if order <= INVERSION_ORDER_LIMIT:
-        units.extend(unit("inv-range", f"{lo}:{hi}")
-                     for lo, hi in _ranges(order))
-    if order <= SYMMETRY_ORDER_LIMIT:
-        units.extend(unit("sym-range", f"{lo}:{hi}")
-                     for lo, hi in _ranges(order))
-    units.append(unit("descent-sample", str(DESCENT_SAMPLES)))
-    return units
+        if parts[0][0] != "subgroup":
+            raise ParseError(f"suite {suite} does not take a subgroup")
+        spec = describe_subgroup(parse_subgroup_spec(system, parabolic))
+        return [Unit(suite, fam, rank, "subgroup", spec)]
+    return [Unit(suite, fam, rank, kind, arg)
+            for kind, args, _ in parts for arg in args(system, order)]
 
 
-def _unit_main_theorem(system, arg):
-    sub = parse_subgroup_spec(system, arg)
-    desc = describe_subgroup(sub)
+# -- unit plans: the args of one kind of unit, given system and order
+
+def _all_subgroups(system, order):
+    return [describe_subgroup(s) for s in all_parabolic_subgroups(system)]
+
+
+def _standard_subgroups(system, order):
+    return [describe_subgroup(s) for s in standard_parabolic_subgroups(system)]
+
+
+def _bs_splits(system, order):
+    return [str(i) for i in range(1, system.datum.rank + 1)]
+
+
+def _w_ranges(system, order, limit=None):
+    """About 16 slices of the suite order; none when it exceeds limit."""
+    if limit is not None and order > limit:
+        return []
+    step = max(1, -(-order // 16))
+    return [f"{lo}:{min(lo + step, order)}" for lo in range(0, order, step)]
+
+
+def _unit_main_theorem(sub, desc):
+    system = sub.system
     fam, rank = system.datum.family, system.datum.rank
     els = _lex_elements(system)
     out = []
@@ -303,9 +283,8 @@ def _unit_main_theorem(system, arg):
     return out
 
 
-def _unit_coefficientwise(system, arg):
-    sub = parse_subgroup_spec(system, arg)
-    desc = describe_subgroup(sub)
+def _unit_coefficientwise(sub, desc):
+    system = sub.system
     fam, rank = system.datum.family, system.datum.rank
     els = _lex_elements(system)
     names = _names(system)
@@ -327,9 +306,8 @@ def _unit_coefficientwise(system, arg):
     return out
 
 
-def _unit_parabolic_equality(system, arg):
-    sub = parse_subgroup_spec(system, arg)
-    desc = describe_subgroup(sub)
+def _unit_parabolic_equality(sub, desc):
+    system = sub.system
     fam, rank = system.datum.family, system.datum.rank
     names = _names(system)
     ranks = _suite_ranks(system)
@@ -341,9 +319,8 @@ def _unit_parabolic_equality(system, arg):
             for x, w, res in results]
 
 
-def _unit_monotonicity(system, arg):
-    sub = parse_subgroup_spec(system, arg)
-    desc = describe_subgroup(sub)
+def _unit_monotonicity(sub, desc):
+    system = sub.system
     fam, rank = system.datum.family, system.datum.rank
     names = _names(system)
     out = []
@@ -360,9 +337,8 @@ def _unit_monotonicity(system, arg):
     return out
 
 
-def _unit_coset_theorem(system, arg):
-    sub = parse_subgroup_spec(system, arg)
-    desc = describe_subgroup(sub)
+def _unit_coset_theorem(sub, desc):
+    system = sub.system
     fam, rank = system.datum.family, system.datum.rank
     els = _lex_elements(system)
     subels = _lex_elements(sub)
@@ -526,25 +502,54 @@ def _unit_descent_sample(system, arg):
     return out
 
 
-_RUNNERS = {
-    ("main-theorem", "subgroup"): _unit_main_theorem,
-    ("coefficientwise", "subgroup"): _unit_coefficientwise,
-    ("parabolic-equality", "subgroup"): _unit_parabolic_equality,
-    ("monotonicity", "subgroup"): _unit_monotonicity,
-    ("coset-theorem", "subgroup"): _unit_coset_theorem,
-    ("brenti-simion", "bs-split"): _unit_bs_split,
-    ("smoothness", "w-range"): _unit_smoothness,
-    ("conjecture-p2", "w-range"): _unit_conjecture_p2,
-    ("inversion-identity", "inv-range"): _unit_inv_range,
-    ("inversion-identity", "sym-range"): _unit_sym_range,
-    ("inversion-identity", "descent-sample"): _unit_descent_sample,
+# -- the suite table
+
+# one suite's facts: the theorem tags of its records, whether it is about
+# symmetric groups only, and its unit plan, parts (kind, args, runner)
+Suite = namedtuple("Suite", "tags a_only parts")
+
+SUITES = {
+    "main-theorem": Suite(("MAIN",), False, (
+        ("subgroup", _all_subgroups, _unit_main_theorem),)),
+    "coefficientwise": Suite(("COEFF",), False, (
+        ("subgroup", _standard_subgroups, _unit_coefficientwise),)),
+    "parabolic-equality": Suite(("PARABOLIC-EQ",), False, (
+        ("subgroup", _standard_subgroups, _unit_parabolic_equality),)),
+    "brenti-simion": Suite(("BS",), True, (
+        ("bs-split", _bs_splits, _unit_bs_split),)),
+    "monotonicity": Suite(("MONO",), False, (
+        ("subgroup", _all_subgroups, _unit_monotonicity),)),
+    "coset-theorem": Suite(
+        ("COSET-EQUIV", "COSET-ORDER", "COSET-IFF", "COSET-AGREE",
+         "COSET-RESTRICT", "COSET-SURJ"), False, (
+            ("subgroup", _all_subgroups, _unit_coset_theorem),)),
+    "smoothness": Suite(("SMOOTH",), True, (
+        ("w-range", _w_ranges, _unit_smoothness),)),
+    "inversion-identity": Suite(("KL-INV", "KL-SYM", "KL-DESCENT"), False, (
+        ("inv-range", partial(_w_ranges, limit=INVERSION_ORDER_LIMIT),
+         _unit_inv_range),
+        ("sym-range", partial(_w_ranges, limit=SYMMETRY_ORDER_LIMIT),
+         _unit_sym_range),
+        ("descent-sample", lambda system, order: [str(DESCENT_SAMPLES)],
+         _unit_descent_sample))),
+    "conjecture-p2": Suite(("P2", "P2-CONVERSE"), True, (
+        ("w-range", _w_ranges, _unit_conjecture_p2),)),
 }
+
+SUITE_NAMES = tuple(SUITES)
+
+# looked up at call time, so a unit's runner can be swapped for a wrapper
+_RUNNERS = {(name, kind): runner for name, suite in SUITES.items()
+            for kind, _, runner in suite.parts}
 
 
 def run_unit(unit):
-    """Run one unit; the entry point of the serial path and of workers."""
-    system = get_system(unit.family, unit.rank)
-    return _RUNNERS[(unit.suite, unit.kind)](system, unit.arg)
+    """Run one unit; the entry point of the serial path and of workers.
+    A subgroup runner gets the parsed subgroup, any other the system."""
+    ctx = get_system(unit.family, unit.rank)
+    if unit.kind == "subgroup":
+        ctx = parse_subgroup_spec(ctx, unit.arg)
+    return _RUNNERS[(unit.suite, unit.kind)](ctx, unit.arg)
 
 
 def suite_chunks(suite, type_text, rank=None, parabolic=None, slow=False,

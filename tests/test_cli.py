@@ -11,7 +11,7 @@ import pytest
 
 from klbounds.cli import main
 from klbounds import verify
-from klbounds.verify import Verdict
+from klbounds.verify import SUITE_NAMES, Verdict
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -304,15 +304,26 @@ def test_verify_output_is_the_same_for_any_job_count(capsys, fmt):
     assert outs[0].count("\n") > 15 * 24 * 24
 
 
+def test_verify_help_lists_the_suites_in_order(capsys, monkeypatch):
+    # wide enough that argparse keeps the choices on one line
+    monkeypatch.setenv("COLUMNS", "300")
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", "--help"])
+    assert exit_.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    suite_line = next(line for line in lines if "one of:" in line)
+    assert suite_line.split("one of: ")[1] == ", ".join(SUITE_NAMES)
+
+
 def test_verify_writes_each_unit_before_the_next_runs(monkeypatch):
     out = io.StringIO()
     key = ("monotonicity", "subgroup")
     runner = verify._RUNNERS[key]
     lines_at_start = []
 
-    def wrapped(system, arg):
+    def wrapped(sub, desc):
         lines_at_start.append(out.getvalue().count("\n"))
-        return runner(system, arg)
+        return runner(sub, desc)
 
     monkeypatch.setitem(verify._RUNNERS, key, wrapped)
     monkeypatch.setattr(sys, "stdout", out)

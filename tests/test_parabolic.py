@@ -28,6 +28,17 @@ def test_spec_round_trips(a3, b3):
         assert again == sub, spec
 
 
+@pytest.mark.parametrize("name", ["A2", "A3", "A4", "B2", "B3", "C3",
+                                  "D4", "G2"])
+def test_every_parabolic_spec_is_its_own_description(name):
+    # verify's subgroup units rely on this: the unit arg, which run_unit
+    # parses, is already the records' subgroup token
+    system = get_system(name)
+    for sub in all_parabolic_subgroups(system):
+        spec = describe_subgroup(sub)
+        assert describe_subgroup(parse_subgroup_spec(system, spec)) == spec
+
+
 def test_spec_constructions_agree(a3):
     assert parse_subgroup_spec(a3, "standard:s1,s2") == \
         standard_parabolic(a3, [0, 1])

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from conftest import contains_ref, flatten_ref
 from klbounds.patterns import (HEXAGON_PATTERNS, P2_PATTERNS,
-                               SMOOTHNESS_PATTERNS, PatternQuery,
+                               SMOOTHNESS_PATTERNS,
                                avoids_patterns, conjecture_p2_patterns,
                                contains_pattern, flatten,
                                is_321_hexagon_avoiding,
@@ -119,14 +119,10 @@ def test_pattern_rejects_garbage():
 
 
 def test_pattern_query():
-    q = PatternQuery(target="4536172",
-                     patterns=("3412", "4321"), witness_wanted=True)
-    results = q.run()
-    assert results[0][:2] == ((3, 4, 1, 2), True)
-    assert results[0][2] == (1, 2, 5, 7)
-    assert results[1][:2] == ((4, 3, 2, 1), False)
-    with pytest.raises(ValueError):
-        PatternQuery(target="123", patterns=("1234",)).run()
+    assert contains_pattern("4536172", "3412", return_witness=True) == \
+        (True, (1, 2, 5, 7))
+    assert contains_pattern("4536172", "4321", return_witness=True) == \
+        (False, None)
 
 
 def test_smoothness_patterns_match_kl():

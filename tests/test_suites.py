@@ -1,5 +1,6 @@
 from concurrent.futures import ProcessPoolExecutor
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +11,7 @@ from klbounds.coxeter import CoxeterSystem, build_system
 from klbounds.errors import EnumerationCapError, ParseError
 from klbounds.parabolic import all_parabolic_subgroups, parse_subgroup_spec
 from klbounds import bounds
-from klbounds.verify import (SUITE_NAMES, _unit_bs_split,
+from klbounds.verify import (SUITE_NAMES, SUITES, _unit_bs_split,
                              _unit_coefficientwise, _unit_conjecture_p2,
                              _unit_coset_theorem, _unit_descent_sample,
                              _unit_inv_range,
@@ -40,6 +41,34 @@ def test_every_suite_green_on_small_group(suite):
     assert result.checked == len(result.records) > 0
     assert result.summary_line().startswith(
         f"checked={result.checked} failed=0 elapsed=")
+    assert {rec.theorem for rec in result.records} <= set(SUITES[suite].tags)
+
+
+def _readme_suite_rows():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split("## Verification suites")[1]
+    rows = []
+    for line in section.split("\n## ")[0].splitlines():
+        if line.startswith("| `"):
+            suite, records, sweep = (c.strip() for c in line.split("|")[1:4])
+            rows.append((suite.strip("`"),
+                         [t.strip("`") for t in records.split(", ")], sweep))
+    return rows
+
+
+def test_readme_suite_table_matches_the_suite_table():
+    rows = _readme_suite_rows()
+    assert [suite for suite, _, _ in rows] == list(SUITE_NAMES)
+    for suite, records, sweep in rows:
+        entry = SUITES[suite]
+        assert sweep.endswith("(family A)") == entry.a_only, suite
+        assert sweep.count("(family A)") == int(entry.a_only), suite
+        if records[-1].endswith("*"):
+            prefix = records[0][:-1]
+            assert records == [prefix + "*"], suite
+            assert all(tag.startswith(prefix) for tag in entry.tags), suite
+        else:
+            assert records == list(entry.tags), suite
 
 
 def test_records_have_nine_clean_tokens():
@@ -83,7 +112,8 @@ def test_coefficientwise_unit_work_counts(monkeypatch):
             return _original(self, *args)
 
         monkeypatch.setattr(CoxeterSystem, attr, counted)
-    records = _unit_coefficientwise(system, "full")
+    records = _unit_coefficientwise(parse_subgroup_spec(system, "full"),
+                                    "full")
     assert len(records) == 24 * 24
     assert all(rec.holds for rec in records)
     assert counts["multiply"] == 0
@@ -105,7 +135,7 @@ def test_coset_units_work_once_per_coset(monkeypatch, unit, arg, cosets):
             return _original(*args)
 
         monkeypatch.setattr(bounds, attr, counted)
-    records = unit(system, arg)
+    records = unit(parse_subgroup_spec(system, arg), arg)
     assert records and all(rec.holds for rec in records)
     assert counts == {"_coset_table": cosets, "phi_root": cosets}
 
@@ -122,7 +152,8 @@ def test_coset_units_check_standardness_once_per_coset(monkeypatch, unit):
         return original(sub, x)
 
     monkeypatch.setattr(bounds, "conjugate_is_standard", counted)
-    records = unit(system, "conj:s2|s1,s3")
+    records = unit(parse_subgroup_spec(system, "conj:s2|s1,s3"),
+                   "conj:s2|s1,s3")
     assert records and all(rec.holds for rec in records)
     # W' has 4 elements, so the 120 elements of A4 form 30 cosets
     assert len(calls) == len(set(calls)) == 30
@@ -167,7 +198,10 @@ def test_window_units_compute_each_window_once(monkeypatch, unit, arg):
         return to_oneline(self, w)
 
     monkeypatch.setattr(CoxeterSystem, "to_oneline", counted)
-    records = unit(system, arg)
+    # as run_unit calls them: a subgroup runner gets the parsed subgroup
+    subgroup = unit in (_unit_monotonicity, _unit_coset_theorem)
+    records = unit(parse_subgroup_spec(system, arg) if subgroup else system,
+                   arg)
     assert records and all(rec.holds for rec in records)
     assert len(calls) == len(set(calls)) == 120
 
