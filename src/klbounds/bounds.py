@@ -124,10 +124,9 @@ def _value_orbits_typeA(sub):
         return a
 
     for coords in sub.simples_prime:
-        # a family A positive root is a run of ones whose reflection
-        # swaps the values at the run's two ends
-        nz = [i for i, c in enumerate(coords) if c]
-        ra, rb = find(nz[0] + 1), find(nz[-1] + 2)
+        # the reflection in e_a - e_b swaps the values a and b
+        a, b = (t + 1 for t, c in enumerate(sub.ambient.to_evec(coords)) if c)
+        ra, rb = find(a), find(b)
         if ra != rb:
             parent[rb] = ra
     groups = {}

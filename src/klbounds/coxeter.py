@@ -29,9 +29,21 @@ left multiplication by a transposition swaps values in one-line notation.
 In the signed families the source-window convention means the flattening of
 a window by integer rank agrees with the pattern map onto the subgroup of
 unsigned permutations, matching the classical combinatorics.
+
+Every classical system keeps one realization table, ``_emat_cols``: the
+simple roots in e-coordinates (alpha_i = e_i - e_(i+1) in family A, the
+branch node at e_1 in B/C/D).  ``to_evec`` and its inverse ``from_evec``
+(prefix sums in family A, the table of 2 e_i in B/C/D) are the only
+conversions between root and e-coordinates: parsing windows, the family-A
+window, classical_root and the root descriptors of subgroup specs all go
+through them.  The one exception is the B/C/D loop of to_oneline, which
+formats every record of a signed-family sweep; it forms the e-coordinates
+of w^{-1}(e_i) entry by entry and stops at the first nonzero one, which
+saves building the whole vector.
 """
 
 from functools import lru_cache
+from itertools import accumulate
 from operator import itemgetter, mul
 
 from .cartan import (CartanDatum, parse_type_name, positive_root_count,
@@ -501,38 +513,35 @@ class CoxeterSystem(CoxeterContext):
     def _build_classical_tables(self):
         fam = self.datum.family
         n = self.rank
-        if fam == "A":
-            self._points = n + 1
-            return
-        self._points = n
-        # realization with the branch node at e_1: the chain runs down
+        pts = n + 1 if fam == "A" else n
+        self._points = pts
+        # simple roots in e-coordinates.  Family A: alpha_i = e_i - e_(i+1).
+        # B/C/D put the branch node at e_1: the chain runs down
         # alpha_i = e_(n+1-i) - e_(n-i), and the last root is e_1 (B),
         # 2 e_1 (C) or e_1 + e_2 (D); diffs e_b - e_a with a < b are then
         # positive, which lines the Bruhat combinatorics up with integer
         # order on window entries
         cols = []
-        for i in range(1, n + 1):
-            ev = [0] * n
-            if fam in ("B", "C") and i == n:
-                ev[0] = 2 if fam == "C" else 1
-            elif fam == "D" and i == n:
-                ev[0] = 1
-                ev[1] = 1
-            else:
-                ev[n - i] = 1
-                ev[n - i - 1] = -1
-            cols.append(tuple(ev))
-        self._emat_cols = tuple(cols)  # simple roots in e-coordinates
-        einv = invert_matrix(cols)
-        two_e = []
         for i in range(n):
-            coords = []
-            for row in einv:
-                val = 2 * row[i]
-                if val.denominator != 1:
-                    raise InvalidCartanError("coordinate table not integral")
-                coords.append(int(val))
-            two_e.append(tuple(coords))
+            ev = [0] * pts
+            if fam == "A":
+                ev[i], ev[i + 1] = 1, -1
+            elif i < n - 1:
+                ev[n - 1 - i], ev[n - 2 - i] = 1, -1
+            elif fam == "D":
+                ev[0] = ev[1] = 1
+            else:
+                ev[0] = 2 if fam == "C" else 1
+            cols.append(tuple(ev))
+        self._emat_cols = tuple(cols)
+        if fam == "A":
+            return  # from_evec takes prefix sums
+        two_e = []
+        for col in zip(*invert_matrix(cols)):
+            twice = [2 * val for val in col]
+            if any(val.denominator != 1 for val in twice):
+                raise InvalidCartanError("coordinate table not integral")
+            two_e.append(tuple(map(int, twice)))
         self._two_e_coords = tuple(two_e)  # coords of 2 e_i
 
     def classical_points(self):
@@ -541,17 +550,37 @@ class CoxeterSystem(CoxeterContext):
             raise ParseError(f"{self.datum.type_name()} has no one-line form")
         return self._points
 
-    def _ediff_coords_A(self, a, b):
-        # coordinates of e_a - e_b in family A
-        n = self.rank
-        if a < b:
-            return tuple(1 if a <= t <= b - 1 else 0 for t in range(1, n + 1))
-        return tuple(-1 if b <= t <= a - 1 else 0 for t in range(1, n + 1))
+    def to_evec(self, coords):
+        """e-coordinates of a vector given in simple-root coordinates."""
+        ev = [0] * self._points
+        for c, col in zip(coords, self._emat_cols):
+            if c:
+                for t, x in enumerate(col):
+                    ev[t] += c * x
+        return tuple(ev)
 
-    def _perm_to_images(self, values):
-        n = self.rank
-        return tuple(self._ediff_coords_A(values[j], values[j + 1])
-                     for j in range(n))
+    def from_evec(self, ev):
+        """Simple-root coordinates of the vector with e-coordinates ev."""
+        if self.datum.family == "A":
+            # alpha_i = e_i - e_(i+1): coordinate i is ev_1 + ... + ev_i
+            if sum(ev):
+                raise ParseError("vector is outside the root lattice")
+            return tuple(accumulate(ev[:-1]))
+        twice = _combine(self._two_e_coords, ev)
+        if any(x % 2 for x in twice):
+            raise ParseError("vector is outside the root lattice")
+        return tuple(x // 2 for x in twice)
+
+    def _images_of(self, perm):
+        """Simple-root images under e_j -> sign(perm_j) e_|perm_j|."""
+        images = []
+        for col in self._emat_cols:
+            ev = [0] * self._points
+            for c, v in zip(col, perm):
+                if c:
+                    ev[abs(v) - 1] += c if v > 0 else -c
+            images.append(self.from_evec(ev))
+        return tuple(images)
 
     def parse_oneline(self, values):
         """Element from one-line values (signed for B/C/D)."""
@@ -563,75 +592,28 @@ class CoxeterSystem(CoxeterContext):
         if len(values) != pts:
             raise ParseError(f"expected {pts} one-line entries, "
                              f"got {len(values)}")
-        if fam == "A":
-            if sorted(values) != list(range(1, pts + 1)):
-                raise ParseError(
-                    f"{values!r} is not a permutation of 1..{pts} "
-                    "(family A takes no signs)")
-            images = self._perm_to_images(values)
-            invvals = [0] * pts
-            for i, v in enumerate(values):
-                invvals[v - 1] = i + 1
-            inv_images = self._perm_to_images(tuple(invvals))
-            el = self._make(images, inv_images)
-            inv_count = sum(1 for i in range(pts) for j in range(i + 1, pts)
-                            if values[i] > values[j])
-            self._length.setdefault(el, inv_count)
-            return el
+        if fam == "A" and sorted(values) != list(range(1, pts + 1)):
+            raise ParseError(
+                f"{values!r} is not a permutation of 1..{pts} "
+                "(family A takes no signs)")
         if sorted(abs(v) for v in values) != list(range(1, pts + 1)):
             raise ParseError(f"{values!r} entry magnitudes must be a "
                              f"permutation of 1..{pts}")
         if fam == "D" and sum(1 for v in values if v < 0) % 2:
             raise ParseError("family D needs an even number of signs")
-        # the window lists the source slot of each position, so it is the
-        # value list of the inverse; its entrywise map gives inv_images
-        inv_images = self._signed_to_images(values)
-        dest = [0] * pts
-        for i, v in enumerate(values):
-            dest[abs(v) - 1] = (i + 1) if v > 0 else -(i + 1)
-        images = self._signed_to_images(tuple(dest))
-        return self._make(images, inv_images)
-
-    def _signed_to_images(self, values):
-        n = self.rank
-        # w(e_j) as a signed unit e-vector
-        def img_evec(j):
-            v = values[j - 1]
-            ev = [0] * n
-            ev[abs(v) - 1] = 1 if v > 0 else -1
-            return ev
-
-        cols = []
-        for i in range(n):
-            # image of alpha_i: combine images of the e_j appearing in it
-            acc = [0] * n
-            src = self._emat_cols[i]
-            for j in range(1, n + 1):
-                c = src[j - 1]
-                if c:
-                    ev = img_evec(j)
-                    for t in range(n):
-                        acc[t] += c * ev[t]
-            cols.append(self._solve_evec(acc))
-        return tuple(cols)
-
-    def _solve_evec(self, evec):
-        # exact solve E x = evec using the 2e_i coordinate table:
-        # x = sum_t evec[t] * coords(e_t) = sum_t evec[t] * two_e[t] / 2
-        n = self.rank
-        acc = [0] * n
-        for t in range(n):
-            c = evec[t]
-            if c:
-                col = self._two_e_coords[t]
-                for k in range(n):
-                    acc[k] += c * col[k]
-        out = []
-        for v in acc:
-            if v % 2:
-                raise ParseError("vector is outside the root lattice")
-            out.append(v // 2)
-        return tuple(out)
+        inverse = [0] * pts
+        for i, v in enumerate(values, 1):
+            inverse[abs(v) - 1] = i if v > 0 else -i
+        if fam != "A":
+            # the signed window lists the source slot of each position, so
+            # it is the value list of the inverse
+            values, inverse = inverse, values
+        el = self._make(self._images_of(values), self._images_of(inverse))
+        if fam == "A":
+            self._length.setdefault(el, sum(
+                1 for i in range(pts) for j in range(i + 1, pts)
+                if values[i] > values[j]))
+        return el
 
     def to_oneline(self, w):
         """One-line values of a classical element (signed for B/C/D)."""
@@ -640,26 +622,10 @@ class CoxeterSystem(CoxeterContext):
             raise ParseError(f"{self.datum.type_name()} has no one-line form")
         n = self.rank
         if fam == "A":
-            pts = self._points
-            values = [0] * pts
-            first = None
-            for j in range(2, pts + 1):
-                coords = self._ediff_coords_A(1, j)
-                img = self.act(w, coords)
-                ev_pos = ev_neg = None
-                prev = 0
-                for t in range(1, pts + 1):
-                    cur = img[t - 1] if t <= n else 0
-                    val = cur - prev
-                    if val == 1:
-                        ev_pos = t
-                    elif val == -1:
-                        ev_neg = t
-                    prev = cur
-                if first is None:
-                    first = ev_pos
-                values[0] = first
-                values[j - 1] = ev_neg
+            # w(alpha_j) = e_w(j) - e_w(j+1)
+            evs = [self.to_evec(img) for img in w.images]
+            values = [ev.index(1) + 1 for ev in evs]
+            values.append(evs[-1].index(-1) + 1)
             return tuple(values)
         values = []
         for i in range(n):
@@ -762,41 +728,28 @@ class CoxeterSystem(CoxeterContext):
 
     def classical_root(self, a, b=None, kind="diff"):
         """Root coordinates for e_a - e_b ('diff'), e_a + e_b ('sum'), or
-        the sign-change root at position a ('sign', families B and C)."""
+        the sign-change root at position a ('sign': e_a in family B, 2 e_a
+        in family C)."""
         fam = self.datum.family
         if not self.datum.is_classical:
             raise ParseError("classical roots need a classical family")
         pts = self._points
         if not 1 <= a <= pts or (b is not None and not 1 <= b <= pts):
             raise ParseError(f"positions must lie in 1..{pts}")
-        if fam == "A":
-            if kind != "diff" or b is None or a == b:
-                raise ParseError("family A has only e_a - e_b roots")
-            return self._ediff_coords_A(a, b)
-        two = self._two_e_coords
-        if kind == "diff":
+        if fam == "A" and (kind != "diff" or b is None or a == b):
+            raise ParseError("family A has only e_a - e_b roots")
+        ev = [0] * pts
+        if kind in ("diff", "sum"):
             if b is None or a == b:
                 raise ParseError("need two distinct positions")
-            raw = tuple(x - y for x, y in zip(two[a - 1], two[b - 1]))
-        elif kind == "sum":
-            if b is None or a == b:
-                raise ParseError("need two distinct positions")
-            raw = tuple(x + y for x, y in zip(two[a - 1], two[b - 1]))
+            ev[b - 1] = -1 if kind == "diff" else 1
         elif kind == "sign":
             if fam == "D":
                 raise ParseError("family D has no sign-change roots")
-            if fam == "C":
-                return two[a - 1]
-            raw = two[a - 1]
         else:
             raise ParseError(f"unknown root kind {kind!r}")
-        if any(x % 2 for x in raw):
-            raise ParseError("not a root for this family")
-        coords = tuple(x // 2 for x in raw)
-        if coords not in self._pos_index and \
-                tuple(-c for c in coords) not in self._pos_index:
-            raise ParseError(f"no root for kind={kind}, a={a}, b={b}")
-        return coords
+        ev[a - 1] = 2 if kind == "sign" and fam == "C" else 1
+        return self.from_evec(ev)
 
 
 def build_system(datum, enum_cap=DEFAULT_ENUM_CAP):

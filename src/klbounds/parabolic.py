@@ -52,12 +52,11 @@ class ParabolicSubgroup(CoxeterContext):
     function, descents and Bruhat order are the subgroup's own.
     """
 
-    def __init__(self, ambient, generators, root_indices):
+    def __init__(self, ambient, root_indices):
         self.ambient = ambient
         self.system = ambient
         self.enum_cap = ambient.enum_cap
         self.identity = ambient.identity
-        self.generators = tuple(generators)
         self._init_context()
 
         # Pi' as ambient positive-root indices, ascending
@@ -135,17 +134,13 @@ def parabolic_from_reflections(system, refl_set):
     generators' roots.  The witness on rejection is one missing reflection.
     """
     gen_coords = []
-    gens = []
     for r in refl_set:
         if isinstance(r, tuple):
-            rd = system.reflection_data_for(r)
-            gens.append(rd.element)
-            gen_coords.append(rd.coords)
+            gen_coords.append(system.reflection_data_for(r).coords)
         else:
             idx = system.reflection_root_index.get(r)
             if idx is None:
                 raise ParseError("generator is not a reflection")
-            gens.append(r)
             gen_coords.append(system.positive_root_vecs[idx])
 
     basis_space = RowSpace(system.rank)
@@ -162,7 +157,7 @@ def parabolic_from_reflections(system, refl_set):
                 "reflection set is not parabolic: the reflection with root "
                 f"{v} lies in the span but not in the generated subgroup",
                 witness=system.reflections[i])
-    return ParabolicSubgroup(system, gens, prime_indices)
+    return ParabolicSubgroup(system, prime_indices)
 
 
 def parabolic_conjugate(system, x, gen_indices):
@@ -335,8 +330,11 @@ def embed_pattern(sub, flat, block_index=0):
         raise ParseError(f"no block {block_index}: the subgroup has "
                          f"{len(blocks)} position blocks")
     block = blocks[block_index]
-    if len(flat) != len(block):
-        raise ParseError("pattern size does not match the block")
+    k = len(block)
+    if sorted(abs(v) if signed else v for v in flat) != list(range(1, k + 1)):
+        kind = "a signed" if signed else "a"
+        raise ParseError(f"pattern {tuple(flat)!r} is not {kind} "
+                         f"permutation of 1..{k}")
     points = sub.ambient.classical_points()
     values = list(range(1, points + 1))
     for pos, v in zip(block, flat):
@@ -383,18 +381,7 @@ def flatten_matches_phi(n, sigma, w):
 
 def _root_descriptor(system, coords):
     """Readable descriptor of a classical root: 'a-b', 'a+b' or 'a'."""
-    n = system.rank
-    fam = system.datum.family
-    if fam == "A":
-        ev = []
-        prev = 0
-        for t in range(1, n + 2):
-            cur = coords[t - 1] if t <= n else 0
-            ev.append(cur - prev)
-            prev = cur
-    else:
-        ev = [sum(system._emat_cols[j][t] * coords[j] for j in range(n))
-              for t in range(n)]
+    ev = system.to_evec(coords)
     pos = [t + 1 for t, v in enumerate(ev) if v > 0]
     neg = [t + 1 for t, v in enumerate(ev) if v < 0]
     if len(pos) == 1 and len(neg) == 1:

@@ -245,6 +245,116 @@ def test_classical_root_reflection(a3):
     assert a3.format_element(r13) == "3214"
 
 
+def _simple_reflection_perm(family, n, g):
+    """s_(g+1) as a signed permutation of the points: entry k is the
+    signed point that e_k goes to.  Family A: alpha_i = e_i - e_(i+1) on
+    n+1 points; B/C/D: alpha_i = e_(n+1-i) - e_(n-i) for i < n, and the
+    last root is e_1 (B), 2 e_1 (C) or e_1 + e_2 (D)."""
+    if family == "A":
+        perm = list(range(1, n + 2))
+        perm[g], perm[g + 1] = g + 2, g + 1
+        return perm
+    perm = list(range(1, n + 1))
+    if g < n - 1:
+        a, b = n - 1 - g, n - g
+        perm[a - 1], perm[b - 1] = b, a
+    elif family == "D":
+        perm[0], perm[1] = -2, -1
+    else:
+        perm[0] = -1
+    return perm
+
+
+@pytest.mark.parametrize("name", ["A4", "B3", "C3", "C4", "D4"])
+def test_windows_follow_signed_permutation_oracle(name):
+    # s_i w acts on the values of a family-A window and on the positions
+    # of a signed window (entry i of the window of s_i w is the entry of
+    # the window of w at the signed position s_i(i))
+    system = get_system(name)
+    fam, n = system.datum.family, system.rank
+    perms = [_simple_reflection_perm(fam, n, g) for g in range(n)]
+    for w in system.elements():
+        window = system.to_oneline(w)
+        assert system.parse_oneline(window) is w
+        for g, s in enumerate(perms):
+            if fam == "A":
+                want = tuple(s[v - 1] for v in window)
+            else:
+                want = tuple(window[abs(t) - 1] * (1 if t > 0 else -1)
+                             for t in s)
+            assert system.to_oneline(system.left_mul(g, w)) == want
+
+
+@pytest.mark.parametrize("name", ["A4", "B3", "C3", "D4"])
+def test_evec_conversions_invert_each_other(name):
+    system = get_system(name)
+    pts = system.classical_points()
+    for v in system.positive_root_vecs:
+        ev = system.to_evec(v)
+        assert len(ev) == pts
+        assert system.from_evec(ev) == v
+        assert system.from_evec(tuple(-c for c in ev)) == \
+            tuple(-c for c in v)
+    if system.datum.family != "B":
+        # e_1 lies in the root lattice of B only
+        with pytest.raises(ParseError, match="outside the root lattice"):
+            system.from_evec((1,) + (0,) * (pts - 1))
+
+
+@pytest.mark.parametrize("name, a, b, kind, ev", [
+    ("A3", 1, 3, "diff", (1, 0, -1, 0)),
+    ("A3", 4, 2, "diff", (0, -1, 0, 1)),
+    ("B3", 1, 3, "diff", (1, 0, -1)),
+    ("B3", 2, 3, "sum", (0, 1, 1)),
+    ("B3", 2, None, "sign", (0, 1, 0)),
+    ("C3", 3, None, "sign", (0, 0, 2)),
+    ("D4", 1, 4, "sum", (1, 0, 0, 1)),
+])
+def test_classical_root_builds_the_named_root(name, a, b, kind, ev):
+    system = get_system(name)
+    coords = system.classical_root(a, b, kind)
+    assert system.to_evec(coords) == ev
+    system.reflection_for_root(coords)  # a root of the system
+
+
+@pytest.mark.parametrize("name, args, message", [
+    ("A3", (1, 2, "sum"), "family A has only e_a - e_b roots"),
+    ("A3", (1, None, "sign"), "family A has only e_a - e_b roots"),
+    ("A3", (1,), "family A has only e_a - e_b roots"),
+    ("A3", (2, 2), "family A has only e_a - e_b roots"),
+    ("D4", (1, None, "sign"), "family D has no sign-change roots"),
+    ("B3", (1,), "need two distinct positions"),
+    ("B3", (2, 2, "sum"), "need two distinct positions"),
+    ("A3", (0, 2), "positions must lie in 1..4"),
+    ("B3", (1, 4), "positions must lie in 1..3"),
+    ("C3", (4, None, "sign"), "positions must lie in 1..3"),
+    ("B3", (1, 2, "bogus"), "unknown root kind 'bogus'"),
+    ("G2", (1, 2), "classical roots need a classical family"),
+])
+def test_classical_root_refusals(name, args, message):
+    with pytest.raises(ParseError) as info:
+        get_system(name).classical_root(*args)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name, values, message", [
+    ("D4", (-1, 2, 3, 4), "family D needs an even number of signs"),
+    ("D3", (-2, -1, -3), "family D needs an even number of signs"),
+    ("A3", (-1, 2, 3, 4),
+     "(-1, 2, 3, 4) is not a permutation of 1..4 (family A takes no signs)"),
+    ("A3", (1, 2, 3, 5),
+     "(1, 2, 3, 5) is not a permutation of 1..4 (family A takes no signs)"),
+    ("B3", (1, -1, 3),
+     "(1, -1, 3) entry magnitudes must be a permutation of 1..3"),
+    ("B3", (1, 2), "expected 3 one-line entries, got 2"),
+    ("G2", (1, 2), "G2 has no one-line form"),
+])
+def test_parse_oneline_refusals(name, values, message):
+    with pytest.raises(ParseError) as info:
+        get_system(name).parse_oneline(values)
+    assert str(info.value) == message
+
+
 def test_elements_sorted_by_length(a3):
     lengths = [a3.length(w) for w in a3.elements()]
     assert lengths == sorted(lengths)

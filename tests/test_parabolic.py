@@ -204,6 +204,21 @@ def test_embed_pattern_rejects_a_missing_block(a4, block_index):
         embed_pattern(sub, (2, 1), block_index)
 
 
+@pytest.mark.parametrize("name, spec, flat", [
+    ("A4", "positions:1,4", (0, 1)),
+    ("A4", "positions:1,4", (1, 3)),
+    ("A4", "positions:1,4", (1, 1)),
+    ("A4", "positions:1,4", (-2, 1)),
+    ("B3", "signed:1,3", (1, 3)),
+    ("B3", "signed:1,3", (-1, 1)),
+    ("B3", "signed:1,3", (0, 2)),
+])
+def test_embed_pattern_rejects_a_non_permutation(name, spec, flat):
+    sub = parse_subgroup_spec(get_system(name), spec)
+    with pytest.raises(ParseError, match="is not a"):
+        embed_pattern(sub, flat)
+
+
 def test_flatten_classical_is_value_selection():
     assert flatten_classical(7, (1, 4, 6, 7), (6, 2, 1, 3, 4, 7, 5)) == \
         (3, 1, 2, 4)
