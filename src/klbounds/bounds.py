@@ -30,70 +30,38 @@ exactly the elements below their w.
 """
 
 from bisect import insort
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import permutations, product
-from typing import NamedTuple
 
-from .coxeter import get_system
+from .coxeter import _cached_on, get_system
 from .errors import HypothesisError
 from .kl import get_engine, kl_polynomial
 from .parabolic import (_normalize_positive, coset_minimum,
                         describe_subgroup, phi_root, simple_roots)
 from .patterns import _coerce_perm, flatten
-from .polynomials import ONE, ZERO, IntPolynomial
+from .polynomials import ONE, ZERO
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Outcome of the main bound for one (x, w, W') triple."""
+# the main bound for one (x, w, W') triple; per_term holds
+# (y, P_{y,w}(1), P'_{phi(x),phi(y)}(1)) per maximum y, comparable says
+# whether x <= w in the ambient order
+BoundReport = namedtuple(
+    "BoundReport",
+    "x w subgroup maximal_set lhs rhs holds per_term comparable")
 
-    x: object
-    w: object
-    subgroup: str
-    maximal_set: tuple
-    lhs: int
-    rhs: int
-    holds: bool
-    per_term: tuple          # (y, P_{y,w}(1), P'_{phi(x),phi(y)}(1))
-    comparable: bool         # x <= w in the ambient order
+# P_{x,w} against the product bound degree by degree: y is the singleton
+# element of M or None, degrees holds (k, lhs_k, rhs_k, ok), and empty
+# says that [1, w] intersect W'x was empty
+CoefficientwiseReport = namedtuple(
+    "CoefficientwiseReport", "x w subgroup y degrees holds empty")
 
+# P_{1,w}(1) >= P_{x0,w}(1) >= P'_{1,phi(w)}(1) for the coset floor x0:
+# lhs, mid and rhs in that order, x0 as coset_min
+MonotonicityReport = namedtuple(
+    "MonotonicityReport", "w subgroup lhs mid rhs holds coset_min phi_w")
 
-@dataclass(frozen=True)
-class CoefficientwiseReport:
-    """Per-degree comparison of P_{x,w} against the product bound."""
-
-    x: object
-    w: object
-    subgroup: str
-    y: object                # the singleton element of M, or None
-    degrees: tuple           # (k, lhs_k, rhs_k, ok)
-    holds: bool
-    empty: bool              # [1,w] intersect W'x was empty
-
-
-@dataclass(frozen=True)
-class MonotonicityReport:
-    """P_{1,w}(1) >= P_{x0,w}(1) >= P'_{1,phi(w)}(1) for the coset floor x0."""
-
-    w: object
-    subgroup: str
-    lhs: int
-    mid: int
-    rhs: int
-    holds: bool
-    coset_min: object
-    phi_w: object
-
-    def __iter__(self):
-        return iter((self.lhs, self.rhs, self.holds))
-
-
-class EqualityResult(NamedTuple):
-    """Both sides of a polynomial identity and whether they agree."""
-
-    lhs: IntPolynomial
-    rhs: IntPolynomial
-    holds: bool
+# both sides of a polynomial identity and whether they agree
+EqualityResult = namedtuple("EqualityResult", "lhs rhs holds")
 
 
 def _coset_below(sub, x, w):
@@ -135,6 +103,13 @@ def _value_orbits_typeA(sub):
     return [tuple(vs) for vs in groups.values() if len(vs) > 1]
 
 
+def _orbit_plan_typeA(sub):
+    """The value orbits of W', their arrangements and each value's rank."""
+    orbits = _value_orbits_typeA(sub)
+    return (orbits, [tuple(permutations(orb)) for orb in orbits],
+            [{v: r for r, v in enumerate(orb)} for orb in orbits])
+
+
 def _prefix_dominated(xv, wv):
     """Ehresmann's tableau criterion on one-line windows.
 
@@ -162,17 +137,18 @@ def _maxima_typeA(sub, x, w):
     orbit's values over the slots x gives them.  Ambient comparisons use
     the tableau criterion, subgroup comparisons the product of per-orbit
     tableau tests on flattened windows, and only the maxima are
-    converted back to group elements.
+    converted back to group elements, through the ambient's window memo.
+    The orbits, their arrangements and each value's rank in its orbit
+    depend on W' alone, so they are computed once per subgroup.
     """
     amb = sub.ambient
     xv = amb.oneline_cached(x)
     wv = amb.oneline_cached(w)
-    orbits = _value_orbits_typeA(sub)
+    orbits, arrangements, rank_in = _cached_on(
+        sub, "_orbit_plan_typeA", lambda: _orbit_plan_typeA(sub))
     phiv = amb.oneline_cached(phi_root(sub, x))
     slot = {v: i for i, v in enumerate(xv)}
     slot_lists = [tuple(slot[v] for v in orb) for orb in orbits]
-    arrangements = [tuple(permutations(orb)) for orb in orbits]
-    rank_in = [{v: r for r, v in enumerate(orb)} for orb in orbits]
 
     entries = []
     template = list(xv)
@@ -203,9 +179,9 @@ def _maxima_typeA(sub, x, w):
     n = len(xv)
     out = []
     for _, _, yv in maxima:
-        y = amb.parse_oneline(yv)
         fyv = tuple(yv[slot[phiv[v - 1]]] for v in range(1, n + 1))
-        out.append((y, amb.parse_oneline(fyv)))
+        out.append((amb.parse_oneline_cached(yv),
+                    amb.parse_oneline_cached(fyv)))
     out.sort(key=lambda pair: amb.sort_key(pair[0]))
     return out
 

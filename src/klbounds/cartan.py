@@ -14,7 +14,7 @@ B1 and C1 are rejected (they coincide with A1), D2 = A1 x A1 and D3 = A3 are
 allowed since the signed one-line notation still applies to them.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import factorial
 
 from .errors import InvalidCartanError
@@ -133,24 +133,21 @@ def _check_family_rank(family, rank):
         raise InvalidCartanError(f"{family} requires rank >= 2 (B1/C1 are A1)")
 
 
-@dataclass(frozen=True)
-class CartanDatum:
+class CartanDatum(namedtuple("CartanDatum", "family rank matrix")):
     """A validated (family, rank, Cartan matrix) triple.
 
     The matrix is always checked against the built-in table; arbitrary
     matrices are rejected so that every datum names a finite Weyl group.
     """
 
-    family: str
-    rank: int
-    matrix: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        want = standard_cartan_matrix(self.family, self.rank)
-        if self.matrix != want:
+    def __new__(cls, family, rank, matrix):
+        if matrix != standard_cartan_matrix(family, rank):
             raise InvalidCartanError(
                 f"Cartan matrix does not match the standard table for "
-                f"{self.family}{self.rank}")
+                f"{family}{rank}")
+        return super().__new__(cls, family, rank, matrix)
 
     @classmethod
     def standard(cls, family, rank=None):

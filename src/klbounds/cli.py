@@ -43,7 +43,6 @@ interrupted run leaves every finished unit's records on stdout and
 
 import argparse
 import contextlib
-import csv
 import io
 import os
 import sys
@@ -137,6 +136,7 @@ def _system_for(args):
 
 
 def _csv_text(rows):
+    import csv
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()

@@ -10,10 +10,14 @@ A group element stores the images of all simple roots under the element and
 under its inverse.  That makes inversion free, left and right descent tests
 linear in the rank, and keeps every computation in exact integers.
 
-Every product by a reflection, simple or not, goes through one kernel,
-CoxeterSystem._reflect, which forms the image tuples of t w.  Inverting an
-element swaps its two tuples, so w t = (t w^{-1})^{-1} is the same kernel
-applied to the swapped tuples of w, with the result swapped back.
+A product by a generator s_i goes through CoxeterSystem._simple_step: s_i
+changes only coordinate i of each image and only the inverse-tuple entries
+at the neighbours of node i, read from one table per generator.  Any other
+reflection goes through the dense kernel CoxeterSystem._reflect, kept as it
+is for the parabolic subgroups' generators and the pattern map (a sparse
+form is deferred, ROADMAP item 3).  Inverting an element swaps its two
+tuples, so w t = (t w^{-1})^{-1} is either kernel on the swapped tuples of
+w, with the result swapped back.
 
 One-line notation: family A of rank n acts on n+1 letters and w = w_1...w_n+1
 maps i to w_i.  Families B, C, D act on signed coordinate vectors and use
@@ -79,6 +83,15 @@ def _combine(cols, vec):
     if total is None:
         return (0,) * len(vec)
     return tuple(total)
+
+
+def _cached_on(ctx, attr, build):
+    """ctx.attr, set to build() on first use; lives as long as ctx."""
+    value = getattr(ctx, attr, None)
+    if value is None:
+        value = build()
+        setattr(ctx, attr, value)
+    return value
 
 
 def _vec_is_negative(vec):
@@ -333,9 +346,14 @@ class CoxeterSystem(CoxeterContext):
         units = tuple(tuple(1 if t == i else 0 for t in range(n))
                       for i in range(n))
         self.simple_root_vecs = units
+        # _nbrs[i]: (j, a[j][i]) for each alpha_j that s_i moves, that is
+        # alpha_i and its neighbours in the Dynkin diagram
+        self._nbrs = tuple(tuple((j, A[j][i]) for j in range(n) if A[j][i])
+                           for i in range(n))
         self._intern = {}
         self._lmul = tuple({} for _ in range(n))
         self._oneline_memo = {}
+        self._window_memo = {}
         self.identity = self._make(units, units)
         self._length[self.identity] = 0
 
@@ -382,10 +400,18 @@ class CoxeterSystem(CoxeterContext):
             self._oneline_memo[w] = vals
         return vals
 
+    def parse_oneline_cached(self, values):
+        """parse_oneline for a tuple of values, memoized per system."""
+        el = self._window_memo.get(values)
+        if el is None:
+            el = self._window_memo[values] = self.parse_oneline(values)
+        return el
+
     def left_mul(self, i, w):
         """s_i w, tabulated lazily with one table per generator.
 
-        The first call for (i, w) computes s_i w as a reflection product,
+        The first call for (i, w) computes s_i w by _simple_step, not by
+        the general kernel _reflect that other reflections take,
         propagates the length when known, and stores both w -> s_i w and
         s_i w -> w (s_i is an involution), so every later call for either
         element is one dict lookup.
@@ -393,7 +419,7 @@ class CoxeterSystem(CoxeterContext):
         table = self._lmul[i]
         el = table.get(w)
         if el is None:
-            el = super().left_mul(i, w)
+            el = self._make(*self._simple_step(i, w.images, w.inv_images))
             self._step_length(w, el, w.inv_images[i])
             table[w] = el
             table[el] = w
@@ -401,7 +427,8 @@ class CoxeterSystem(CoxeterContext):
 
     def right_mul(self, w, i):
         """w s_i, with the new length propagated when known."""
-        el = super().right_mul(w, i)
+        new_inv, new_images = self._simple_step(i, w.inv_images, w.images)
+        el = self._make(new_images, new_inv)
         self._step_length(w, el, w.images[i])
         return el
 
@@ -412,6 +439,31 @@ class CoxeterSystem(CoxeterContext):
         if lw is not None:
             self._length.setdefault(
                 el, lw - 1 if _vec_is_negative(root) else lw + 1)
+
+    def _simple_step(self, i, images, inv_images):
+        """Image tuples (of s_i w, of (s_i w)^{-1}) for w given by its tuples.
+
+        s_i v = v - (sum_j a[j][i] v_j) alpha_i changes coordinate i only,
+        and w^{-1} s_i (alpha_j) = w^{-1}(alpha_j) - a[j][i] w^{-1}(alpha_i)
+        changes only the neighbours j of i, with gamma = w^{-1}(alpha_i)
+        read off the tuple.
+        """
+        nbrs = self._nbrs[i]
+        new_images = []
+        for col in images:
+            c = 0
+            for j, a in nbrs:
+                c += a * col[j]
+            if c:
+                col = list(col)
+                col[i] -= c
+                col = tuple(col)
+            new_images.append(col)
+        gamma = inv_images[i]
+        new_inv = list(inv_images)
+        for j, a in nbrs:
+            new_inv[j] = tuple([x - a * y for x, y in zip(new_inv[j], gamma)])
+        return tuple(new_images), tuple(new_inv)
 
     @staticmethod
     def _reflect(rdata, images, inv_images):
@@ -436,16 +488,13 @@ class CoxeterSystem(CoxeterContext):
     # -- roots and reflections
 
     def _generate_roots(self):
-        n = self.rank
-        A = self.datum.matrix
-        acols = tuple(tuple(A[j][i] for j in range(n)) for i in range(n))
         current = set(self.simple_root_vecs)
         frontier = list(current)
         while frontier:
             nxt = []
             for v in frontier:
-                for i in range(n):
-                    c = _dot(acols[i], v)
+                for i, nbrs in enumerate(self._nbrs):
+                    c = sum(a * v[j] for j, a in nbrs)
                     if not c:
                         continue
                     u = list(v)

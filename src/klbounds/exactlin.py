@@ -3,10 +3,9 @@
 Only what the package needs: a row space with membership tests (for root
 subspace computations) and inversion of a small square integer matrix
 (for classical coordinate conversions).  Everything uses Fraction, so the
-results are exact.
+results are exact.  fractions is imported inside the two functions that
+use it, so a family-A ``kl`` query, which needs neither, never loads it.
 """
-
-from fractions import Fraction
 
 
 class RowSpace:
@@ -18,6 +17,7 @@ class RowSpace:
         self.pivots = []
 
     def _reduce(self, vec):
+        from fractions import Fraction
         v = [Fraction(x) for x in vec]
         for row, p in zip(self.rows, self.pivots):
             if v[p]:
@@ -53,6 +53,7 @@ def invert_matrix(columns):
     Returns the inverse as a tuple of row tuples of Fractions, so that
     applying it to a column vector solves  M x = v  exactly.
     """
+    from fractions import Fraction
     n = len(columns)
     aug = [[Fraction(columns[j][i]) for j in range(n)]
            + [Fraction(1 if k == i else 0) for k in range(n)]

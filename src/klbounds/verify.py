@@ -34,16 +34,14 @@ checks the README's suite table against it, so a new suite adds a row.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache, partial
-import json
-import random
 import time
 
 from .bounds import (brenti_simion, coefficientwise_bounds, main_bound,
                      monotonicity_bound, parabolic_equalities)
 from .cartan import weyl_group_order
-from .coxeter import DEFAULT_ENUM_CAP, get_system, system_type
+from .coxeter import (DEFAULT_ENUM_CAP, _cached_on, get_system,
+                      system_type)
 from .errors import EnumerationCapError, ParseError
 from .kl import get_engine
 from .parabolic import (all_parabolic_subgroups, describe_subgroup,
@@ -65,20 +63,12 @@ SYMMETRY_ORDER_LIMIT = 400
 DESCENT_SAMPLES = 1000
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(namedtuple(
+        "Verdict", "theorem family rank subgroup x w lhs rhs holds detail",
+        defaults=((),))):
     """One verified statement, in record form."""
 
-    theorem: str
-    family: str
-    rank: int
-    subgroup: str
-    x: str
-    w: str
-    lhs: str
-    rhs: str
-    holds: bool
-    detail: tuple = ()
+    __slots__ = ()
 
     def text_line(self):
         tail = "HOLDS" if self.holds else "FAILS"
@@ -101,13 +91,11 @@ class Verdict:
         }
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    suite: str
-    family: str
-    rank: int
-    records: tuple
-    elapsed: float
+class SuiteResult(namedtuple("SuiteResult",
+                             "suite family rank records elapsed")):
+    """The records of one suite run and its wall-clock time."""
+
+    __slots__ = ()
 
     @property
     def checked(self):
@@ -122,19 +110,13 @@ class SuiteResult:
                               self.elapsed)
 
 
-@dataclass(frozen=True)
-class Unit:
-    """A picklable slice of a suite, runnable in a worker process."""
-
-    suite: str
-    family: str
-    rank: int
-    kind: str
-    arg: str
+# a picklable slice of a suite, runnable in a worker process
+Unit = namedtuple("Unit", "suite family rank kind arg")
 
 
 def canonical_json(obj):
     """The one JSON rendering used everywhere: sorted keys, no spaces."""
+    import json
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
@@ -157,15 +139,6 @@ def _fmt(system, w):
 
 def _poly_token(poly):
     return str(poly).replace(" ", "")
-
-
-def _cached_on(ctx, attr, build):
-    """ctx.attr, set to build() on first use; lives as long as ctx."""
-    value = getattr(ctx, attr, None)
-    if value is None:
-        value = build()
-        setattr(ctx, attr, value)
-    return value
 
 
 def _lex_elements(ctx):
@@ -483,6 +456,7 @@ def _unit_sym_range(system, arg):
 
 
 def _unit_descent_sample(system, arg):
+    import random
     samples = int(arg)
     fam, rank = system.datum.family, system.datum.rank
     low = get_engine(system, "lowest")

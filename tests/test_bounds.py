@@ -131,6 +131,34 @@ def _check_report(sub, x, w, rep, maxima):
     assert rep.holds == all(row[3] for row in rep.degrees)
 
 
+def test_window_maxima_set_up_once_per_subgroup(monkeypatch):
+    # a fresh A4: the value orbits of W' are found once for the whole
+    # main-theorem unit, and each maximum's window is parsed once per
+    # system, so no more than the 120 elements of A4 are ever parsed
+    from klbounds import bounds, build_system, parse_type, verify
+    from klbounds.coxeter import CoxeterSystem
+
+    calls = {"orbits": 0, "parse": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(bounds, "_value_orbits_typeA",
+                        counted("orbits", bounds._value_orbits_typeA))
+    monkeypatch.setattr(CoxeterSystem, "parse_oneline",
+                        counted("parse", CoxeterSystem.parse_oneline))
+    system = build_system(parse_type("A4"))
+    sub = parse_subgroup_spec(system, "standard:s1,s3")
+    records = verify._unit_main_theorem(sub, "standard:s1,s3")
+    assert len(records) == 120 * 120
+    assert all(rec.holds for rec in records)
+    assert calls["orbits"] == 1
+    assert 0 < calls["parse"] <= 120
+
+
 @pytest.mark.parametrize("name,spec", [
     ("A3", None), ("B3", None), ("A3", "refl:1-3,2-4"),
 ], ids=["A3-standard", "B3-standard", "A3-refl"])

@@ -397,14 +397,26 @@ def test_oversize_type_refused_before_building(argv):
     assert "Traceback" not in done.stderr
 
 
-def test_cli_import_leaves_the_process_pool_unloaded():
-    # only --jobs above 1 needs the pool, so no other run pays its import
+# modules no `kl`, `phi` or serial `verify` run needs: the process pool
+# (only --jobs above 1 uses it) and the stdlib modules that the package
+# imports inside the functions that use them, or not at all
+UNUSED_AT_IMPORT = ("concurrent.futures.process", "dataclasses", "inspect",
+                    "typing", "fractions", "decimal", "json", "random",
+                    "csv")
+
+
+def test_cli_import_loads_no_unused_module():
+    # a fresh interpreter, and only the modules the import itself adds,
+    # so what site or the test runner preloads does not count
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    probe = ("import sys, klbounds.cli; "
-             "print('concurrent.futures.process' in sys.modules)")
+    probe = ("import sys; before = set(sys.modules); import klbounds.cli; "
+             "print(' '.join(sorted(set(sys.modules) - before)))")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=30)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "False\n"
+    loaded = set(done.stdout.split())
+    assert "klbounds.cli" in loaded
+    assert loaded.isdisjoint(UNUSED_AT_IMPORT), \
+        sorted(loaded & set(UNUSED_AT_IMPORT))

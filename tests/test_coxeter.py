@@ -5,6 +5,7 @@ import pytest
 from conftest import bfs_lengths, subword_interval
 from klbounds import build_system, get_system, weyl_group_order
 from klbounds.cartan import CartanDatum, parse_type, positive_root_count
+from klbounds.coxeter import _vec_is_negative
 from klbounds.errors import EnumerationCapError, ParseError
 from klbounds.kl import get_engine
 from klbounds.parabolic import parse_subgroup_spec
@@ -120,6 +121,61 @@ def test_left_mul_table_matches_root_images(name):
             t = rd.element
             assert system.reflect_mul_left(rd, w) == mul(t, w)
             assert system.reflect_mul_right(w, rd) == mul(w, t)
+
+
+def _inversion_count(system, w):
+    # l(w) as the number of positive roots that w sends to negative ones
+    return sum(1 for g in system.positive_root_vecs
+               if _vec_is_negative(system.act(w, g)))
+
+
+def _check_simple_step(system, w, i):
+    """left_mul and right_mul by s_i agree with the general kernel, tuple
+    for tuple, and propagate the length that the root images give."""
+    rd = system._simple_rdata[i]
+    step = system._simple_step
+    assert step(i, w.images, w.inv_images) == \
+        system._reflect(rd, w.images, w.inv_images)
+    assert step(i, w.inv_images, w.images) == \
+        system._reflect(rd, w.inv_images, w.images)
+    u = system.left_mul(i, w)
+    v = system.right_mul(w, i)
+    assert u is system.reflect_mul_left(rd, w)
+    assert v is system.reflect_mul_right(w, rd)
+    for el in (u, v):
+        assert system._length[el] == _inversion_count(system, el)
+    return u, v
+
+
+@pytest.mark.parametrize("name", ["A4", "B3", "C3", "D4", "G2", "F4"])
+def test_simple_step_matches_general_kernel(name):
+    # walk from e by the generator products themselves, on a system of
+    # its own, so every length is one that the steps propagated
+    system = build_system(parse_type(name))
+    seen = {system.identity}
+    frontier = [system.identity]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for i in range(system.num_simples):
+                for el in _check_simple_step(system, w, i):
+                    if el not in seen:
+                        seen.add(el)
+                        nxt.append(el)
+        frontier = nxt
+    assert len(seen) == weyl_group_order(system.datum.family, system.rank)
+
+
+@pytest.mark.parametrize("name", ["E6", "E7", "E8"])
+def test_simple_step_matches_general_kernel_on_random_words(name):
+    system = build_system(parse_type(name))
+    rng = random.Random(f"{name}:simple-step")
+    for _ in range(20):
+        w = system.identity
+        for _ in range(30):
+            i = rng.randrange(system.num_simples)
+            u, v = _check_simple_step(system, w, i)
+            w = u if rng.random() < 0.5 else v
 
 
 def test_parabolic_generator_products_match_multiply(a3):
